@@ -25,12 +25,13 @@ use crate::cw::ConcatWindows;
 use crate::error::EngineError;
 use crate::fallback::run_fallback;
 use crate::integrity::{apply_flips, checksum, CheckpointManager, IntegrityConfig};
+use crate::kernel::{launch_shards, Offsets, ShardBufs, ShardLaunch};
 use crate::program::{Value, VertexProgram};
 use crate::shards::GShards;
 use crate::stats::{IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
-use cusha_simt::{aligned_chunks, DevVec, DeviceConfig, FaultPlan, Gpu, KernelDesc, Mask, WARP};
+use cusha_simt::{DevVec, DeviceConfig, FaultPlan, Gpu, KernelDesc};
 use std::collections::HashSet;
 
 /// Which CuSha representation to run.
@@ -337,12 +338,6 @@ pub fn run<P: VertexProgram>(prog: &P, graph: &Graph, cfg: &CuShaConfig) -> CuSh
     }
 }
 
-/// Site tags naming the replay-scoped regions of the 4-stage kernel (first
-/// word of every `warp_scope` key; see `cusha_simt::replay`).
-const SITE_APPLY: u64 = 0x6373_4150504c59; // "APPLY"
-const SITE_GS_WB: u64 = 0x6373_47535742; // "GSWB"
-const SITE_CW_WB: u64 = 0x6373_43575742; // "CWWB"
-
 /// FNV-1a over the bit patterns of a value vector — the watchdog's cheap
 /// state fingerprint (the same digest the SDC scrubber uses as a
 /// per-buffer checksum).
@@ -536,12 +531,12 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
     let init: Vec<P::V> = (0..graph.num_vertices())
         .map(|v| prog.initial_value(v))
         .collect();
-    let mut vertex_values = gpu.try_upload(&init)?;
-
     let src_value_init: Vec<P::V> = gs.src_index().iter().map(|&s| init[s as usize]).collect();
-    let mut src_value = gpu.try_upload(&src_value_init)?;
-
-    let src_static_buf: Option<DevVec<P::SV>> = if P::HAS_STATIC_VALUES {
+    let vertex_values = gpu.try_upload(&init)?;
+    let src_value = gpu.try_upload(&src_value_init)?;
+    // The per-entry static and edge columns are built one at a time and
+    // live on the device only.
+    let src_static = if P::HAS_STATIC_VALUES {
         let per_vertex = prog.static_values(graph);
         let per_entry: Vec<P::SV> = gs
             .src_index()
@@ -552,8 +547,7 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
     } else {
         None
     };
-
-    let edge_value_buf: Option<DevVec<P::E>> = if P::HAS_EDGE_VALUES {
+    let edge_value = if P::HAS_EDGE_VALUES {
         let by_edge_id = prog.edge_values(graph);
         let per_entry: Vec<P::E> = gs
             .edge_id()
@@ -564,34 +558,28 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
     } else {
         None
     };
-
-    let dest_index = gpu.try_upload(gs.dest_index())?;
-    let src_index = match cw {
-        Some(cw) => gpu.try_upload(cw.src_index())?,
-        None => gpu.try_upload(gs.src_index())?,
+    let mut bufs = ShardBufs::<P> {
+        vertex_values,
+        src_value,
+        src_static,
+        edge_value,
+        dest_index: gpu.try_upload(gs.dest_index())?,
+        src_index: gpu.try_upload(cw.map_or(gs.src_index(), |cw| cw.src_index()))?,
+        mapper: match cw {
+            Some(cw) => Some(gpu.try_upload(cw.mapper())?),
+            None => None,
+        },
+        // G-Shards' stage 4 must look up every window's boundaries — a p×p
+        // offset table the CW layout does not need (its per-shard ranges
+        // are one entry each). The table lives in device memory and its
+        // reads are charged by the kernel, which is part of why small
+        // windows hurt G-Shards.
+        window_offsets: match cw {
+            None => Some(gpu.try_upload(gs.window_offsets())?),
+            Some(_) => None,
+        },
+        flag: gpu.try_upload(&[1u32])?,
     };
-    let mapper_buf: Option<DevVec<u32>> = match cw {
-        Some(cw) => Some(gpu.try_upload(cw.mapper())?),
-        None => None,
-    };
-    // G-Shards' stage 4 must look up every window's boundaries — a p×p
-    // offset table the CW layout does not need (its per-shard ranges are
-    // one entry each). The table lives in device memory and its reads are
-    // charged below, which is part of why small windows hurt G-Shards.
-    let window_offsets_buf: Option<DevVec<u32>> = if cw.is_none() {
-        let p = gs.num_shards() as usize;
-        let mut flat = vec![0u32; p * p];
-        for j in 0..p {
-            for i in 0..p {
-                flat[j * p + i] = gs.window(i as u32, j as u32).start as u32;
-            }
-        }
-        Some(gpu.try_upload(&flat)?)
-    } else {
-        None
-    };
-
-    let mut converged_flag = gpu.try_upload(&[1u32])?;
     let h2d_initial = gpu.h2d_seconds;
     cfg.trace.complete(
         0,
@@ -609,6 +597,15 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
         p,
         cfg.threads_per_block,
     );
+    let own = 0..gs.num_edges() as usize;
+    let launch = ShardLaunch {
+        gs,
+        cw,
+        first_shard: 0,
+        off: Offsets::default(),
+        own: &own,
+        remote: &[],
+    };
     let mut total = RunStats {
         engine: cfg.repr.label().to_string(),
         ..Default::default()
@@ -663,14 +660,14 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
             // the data sits at rest in device DRAM…
             let flips = gpu.take_due_bit_flips();
             if !flips.is_empty() {
-                apply_flips(&flips, &mut vertex_values, &mut src_value);
+                apply_flips(&flips, &mut bufs.vertex_values, &mut bufs.src_value);
             }
             // …and the modeled ECC scrubber verifies the protected buffers
             // before the kernel consumes them (host-side, charge-free —
             // hardware scrubbing runs in the background).
             if integ.mode.checksums()
-                && (checksum(vertex_values.host()) != vv_crc
-                    || checksum(src_value.host()) != sv_crc)
+                && (checksum(bufs.vertex_values.host()) != vv_crc
+                    || checksum(bufs.src_value.host()) != sv_crc)
             {
                 if sdc_recover(
                     gpu,
@@ -678,8 +675,8 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
                     Detector::Checksum,
                     &mut sdc,
                     &mut ckpts,
-                    &mut vertex_values,
-                    &mut src_value,
+                    &mut bufs.vertex_values,
+                    &mut bufs.src_value,
                     &init,
                     &src_value_init,
                     &mut total,
@@ -695,148 +692,9 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
                 host_fallback!();
             }
             let iter_ts = gpu.total_seconds();
-            gpu.try_h2d(&mut converged_flag, &[1u32])?; // host resets is_converged
-            let mut updated_this_iter = 0u64;
-            let kstats = gpu.try_launch(&desc, |b| {
-                let s = b.id();
-                let vrange = gs.vertex_range(s);
-                let offset = vrange.start as usize;
-                let nv = vrange.len();
-                let mut local = b.shared_alloc::<P::V>(nv);
-
-                // Stage 1: coalesced fetch of VertexValues into shared memory.
-                // Pure stride-1 traffic: SoA run operations copy whole lane
-                // columns and account in closed form.
-                b.phase("gather");
-                for (base, mask) in aligned_chunks(offset..offset + nv) {
-                    let vals = b.gload_run(&vertex_values, mask, base as isize);
-                    let mut inited = [P::V::default(); WARP];
-                    for l in mask.iter() {
-                        let mut lv = P::V::default();
-                        prog.init_compute(&mut lv, &vals[l]);
-                        inited[l] = lv;
-                    }
-                    b.exec(mask, 1);
-                    b.sstore_run(&mut local, mask, base as isize - offset as isize, &inited);
-                }
-                b.sync();
-
-                // Stage 2: process shard entries; atomic shared update of the
-                // destination's local value. The destination column is the
-                // chunk's access fingerprint: once it is loaded, every
-                // counter the rest of the chunk produces is a pure function
-                // of (chunk, mask, dst) — a warp-trace scope replays the
-                // atomic collision scan and load accounting wholesale.
-                b.phase("apply");
-                let er = gs.shard_entries(s);
-                for (base, mask) in aligned_chunks(er.clone()) {
-                    let dst = b.gload_run(&dest_index, mask, base as isize);
-                    b.warp_scope(&[SITE_APPLY, base as u64, offset as u64, 0], mask, &dst);
-                    let srcv = b.gload_run(&src_value, mask, base as isize);
-                    let statv = match &src_static_buf {
-                        Some(buf) => b.gload_run(buf, mask, base as isize),
-                        None => [P::SV::default(); WARP],
-                    };
-                    let ev = match &edge_value_buf {
-                        Some(buf) => b.gload_run(buf, mask, base as isize),
-                        None => [P::E::default(); WARP],
-                    };
-                    b.exec(mask, P::COMPUTE_COST);
-                    b.supdate(
-                        &mut local,
-                        mask,
-                        |l| dst[l] as usize - offset,
-                        |l, slot| prog.compute(&srcv[l], &statv[l], &ev[l], slot),
-                    );
-                    b.warp_scope_end();
-                }
-                b.sync();
-
-                // Stage 3: update_condition; publish changed values.
-                b.phase("scatter");
-                let mut block_updated = false;
-                for (base, mask) in aligned_chunks(offset..offset + nv) {
-                    let old = b.gload_run(&vertex_values, mask, base as isize);
-                    let loc = b.sload_run(&local, mask, base as isize - offset as isize);
-                    let mut newv = loc;
-                    let mut cond_bits = 0u32;
-                    for l in mask.iter() {
-                        if prog.update_condition(&mut newv[l], &old[l]) {
-                            cond_bits |= 1 << l;
-                        }
-                    }
-                    b.exec(mask, 1);
-                    // update_condition may have refined local (e.g. PageRank's
-                    // damping); keep the shared copy current for stage 4.
-                    b.sstore_run(&mut local, mask, base as isize - offset as isize, &newv);
-                    let smask = Mask(cond_bits);
-                    if !smask.is_empty() {
-                        b.gstore_run(&mut vertex_values, smask, base as isize, &newv);
-                        block_updated = true;
-                        updated_this_iter += smask.count() as u64;
-                    }
-                }
-                b.sync();
-
-                // Stage 4: write-back to the windows in all shards.
-                b.phase("compact");
-                if block_updated {
-                    match cw {
-                        None => {
-                            // G-Shards: one warp walks each window W_sj, first
-                            // fetching its boundary from the offset table.
-                            for j in 0..p {
-                                if let Some(wo) = &window_offsets_buf {
-                                    let lanes = if s + 1 < p { 2 } else { 1 };
-                                    b.gload_run(wo, Mask::first(lanes), (j * p + s) as isize);
-                                }
-                                for (base, mask) in aligned_chunks(gs.window(s, j)) {
-                                    // The source-index column fingerprints the
-                                    // shared gather; the store is stride-1.
-                                    let sidx = b.gload_run(&src_index, mask, base as isize);
-                                    b.warp_scope(
-                                        &[SITE_GS_WB, base as u64, offset as u64, 0],
-                                        mask,
-                                        &sidx,
-                                    );
-                                    let full = b.sload(&local, mask, |l| sidx[l] as usize - offset);
-                                    b.gstore_run(&mut src_value, mask, base as isize, &full);
-                                    b.warp_scope_end();
-                                }
-                            }
-                        }
-                        Some(cw) => {
-                            // Concatenated Windows: dense sweep of CW_s through
-                            // the Mapper.
-                            let r = cw.cw_entries(s);
-                            for (base, mask) in aligned_chunks(r) {
-                                let sidx = b.gload_run(&src_index, mask, base as isize);
-                                let map = match &mapper_buf {
-                                    Some(mbuf) => b.gload_run(mbuf, mask, base as isize),
-                                    None => unreachable!("CW mode always has a mapper"),
-                                };
-                                // Both index columns drive the accounting:
-                                // fold them into one fingerprint (the mix is
-                                // site-static within a run; verify-on-sample
-                                // backstops any fold collision).
-                                let mut fp = [0u32; WARP];
-                                for l in mask.iter() {
-                                    fp[l] = sidx[l] ^ map[l].rotate_left(16);
-                                }
-                                b.warp_scope(
-                                    &[SITE_CW_WB, base as u64, offset as u64, 0],
-                                    mask,
-                                    &fp,
-                                );
-                                let loc = b.sload(&local, mask, |l| sidx[l] as usize - offset);
-                                b.gstore(&mut src_value, mask, |l| map[l] as usize, |l| loc[l]);
-                                b.warp_scope_end();
-                            }
-                        }
-                    }
-                    b.gstore(&mut converged_flag, Mask::first(1), |_| 0, |_| 0u32);
-                }
-            })?;
+            gpu.try_h2d(&mut bufs.flag, &[1u32])?; // host resets is_converged
+            let (kstats, updated_this_iter) =
+                launch_shards(gpu, &desc, prog, &launch, &mut bufs, None)?;
             total.iterations += 1;
             total.per_iteration.push(IterationStat {
                 seconds: kstats.seconds,
@@ -848,10 +706,10 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
             // Record the post-kernel checksums: this is the state the next
             // scrub pass must find untouched.
             if integ.mode.checksums() {
-                vv_crc = checksum(vertex_values.host());
-                sv_crc = checksum(src_value.host());
+                vv_crc = checksum(bufs.vertex_values.host());
+                sv_crc = checksum(bufs.src_value.host());
             }
-            let flag = gpu.try_download_scalar(&converged_flag, 0)?;
+            let flag = gpu.try_download_scalar(&bufs.flag, 0)?;
             let iter = total.iterations as u64;
             cfg.trace.complete_with(
                 0,
@@ -901,8 +759,8 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
             // verify the algorithm invariant against the last verified
             // snapshot, and store it as the new rollback target.
             if integ.mode.enabled() && total.iterations.is_multiple_of(integ.checkpoint_every) {
-                let vals = gpu.try_download(&vertex_values)?;
-                let srcs = gpu.try_download(&src_value)?;
+                let vals = gpu.try_download(&bufs.vertex_values)?;
+                let srcs = gpu.try_download(&bufs.src_value)?;
                 if integ.mode.invariants() {
                     let prev = &ckpts.latest().expect("initial checkpoint").values;
                     if prog.check_invariant(prev, &vals).is_err() {
@@ -912,8 +770,8 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
                             Detector::Invariant,
                             &mut sdc,
                             &mut ckpts,
-                            &mut vertex_values,
-                            &mut src_value,
+                            &mut bufs.vertex_values,
+                            &mut bufs.src_value,
                             &init,
                             &src_value_init,
                             &mut total,
@@ -942,7 +800,7 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
                     // Snapshot the value vector (a real D2H, charged as such);
                     // a recurring fingerprint without convergence means the
                     // loop is cycling through the same states forever.
-                    let snapshot = gpu.try_download(&vertex_values)?;
+                    let snapshot = gpu.try_download(&bufs.vertex_values)?;
                     if !watchdog_seen.insert(fingerprint(&snapshot)) {
                         return Err(EngineError::Watchdog {
                             iterations: total.iterations,
@@ -955,7 +813,7 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
         // ---- Download results (D2H) -------------------------------------------
         let d2h_before_results = gpu.d2h_seconds;
         let teardown_ts = gpu.total_seconds();
-        let values = gpu.try_download(&vertex_values)?;
+        let values = gpu.try_download(&bufs.vertex_values)?;
         cfg.trace.complete(
             0,
             lanes::ENGINE,
@@ -975,8 +833,8 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
                 Detector::Checksum,
                 &mut sdc,
                 &mut ckpts,
-                &mut vertex_values,
-                &mut src_value,
+                &mut bufs.vertex_values,
+                &mut bufs.src_value,
                 &init,
                 &src_value_init,
                 &mut total,

@@ -78,6 +78,16 @@ pub enum EngineError<V> {
         /// Modeled seconds elapsed at the enforcing iteration boundary.
         elapsed_seconds: f64,
     },
+    /// A fleet device's launch disagreed with the host oracle that had
+    /// already published its halo updates to the other devices (the
+    /// fleet's release-mode self-check). The fleet's values can no longer
+    /// be trusted, so the run stops instead of returning them.
+    OracleMismatch {
+        /// Fleet device whose launch diverged.
+        device: usize,
+        /// What differed: updated count, spill count or spill digest.
+        detail: String,
+    },
 }
 
 impl<V> EngineError<V> {
@@ -92,6 +102,7 @@ impl<V> EngineError<V> {
             EngineError::NonConverged { .. } => "non-converged",
             EngineError::Watchdog { .. } => "watchdog",
             EngineError::Deadline { .. } => "deadline",
+            EngineError::OracleMismatch { .. } => "oracle-mismatch",
         }
     }
 }
@@ -167,6 +178,10 @@ impl<V> std::fmt::Display for EngineError<V> {
                 "deadline expired after {iterations} iterations \
                  ({:.6} modeled ms elapsed)",
                 elapsed_seconds * 1e3
+            ),
+            EngineError::OracleMismatch { device, detail } => write!(
+                f,
+                "device {device}: launch diverged from the fleet's host oracle ({detail})"
             ),
         }
     }

@@ -17,6 +17,7 @@ use crate::program::VertexProgram;
 use crate::shards::GShards;
 use crate::stats::{IterationStat, RunStats};
 use cusha_graph::Graph;
+use std::ops::Range;
 
 /// Engine label reported by the fallback in [`RunStats::engine`].
 pub const FALLBACK_LABEL: &str = "host-fallback";
@@ -66,64 +67,30 @@ pub fn run_fallback<P: VertexProgram>(
         engine: FALLBACK_LABEL.to_string(),
         ..Default::default()
     };
+    let all = 0..gs.num_edges() as usize;
     let mut converged = false;
     while total.iterations < cfg.max_iterations {
-        let mut any_updated = false;
-        let mut updated_this_iter = 0u64;
-        for s in 0..p {
-            let vrange = gs.vertex_range(s);
-            let offset = vrange.start as usize;
-
-            // Stage 1: shard-local working copy.
-            let mut local: Vec<P::V> = vrange
-                .clone()
-                .map(|v| {
-                    let mut lv = P::V::default();
-                    prog.init_compute(&mut lv, &vertex_values[v as usize]);
-                    lv
-                })
-                .collect();
-
-            // Stage 2: fold every shard entry into its destination's slot,
-            // in entry order (the simulator's lane-serialized order).
-            for e in gs.shard_entries(s) {
-                let statv = static_vals.as_ref().map(|v| v[e]).unwrap_or_default();
-                let ev = edge_vals.as_ref().map(|v| v[e]).unwrap_or_default();
-                let slot = gs.dest_index()[e] as usize - offset;
-                prog.compute(&src_value[e], &statv, &ev, &mut local[slot]);
-            }
-
-            // Stage 3: publish values passing the update condition.
-            let mut block_updated = false;
-            for v in vrange.clone() {
-                let i = v as usize - offset;
-                let old = vertex_values[v as usize];
-                let mut newv = local[i];
-                let cond = prog.update_condition(&mut newv, &old);
-                local[i] = newv;
-                if cond {
-                    vertex_values[v as usize] = newv;
-                    block_updated = true;
-                    updated_this_iter += 1;
-                }
-            }
-
-            // Stage 4: write the shard's column back to every window.
-            if block_updated {
-                for j in 0..p {
-                    for e in gs.window(s, j) {
-                        src_value[e] = local[gs.src_index()[e] as usize - offset];
-                    }
-                }
-                any_updated = true;
-            }
-        }
+        // Every entry is local, so the sweep never spills.
+        let updated = host_sweep(
+            prog,
+            &gs,
+            static_vals.as_deref(),
+            edge_vals.as_deref(),
+            0..p,
+            &all,
+            &mut vertex_values,
+            0,
+            &mut src_value,
+            0,
+            true,
+            &mut Vec::new(),
+        );
         total.iterations += 1;
         total.per_iteration.push(IterationStat {
             seconds: 0.0,
-            updated_vertices: updated_this_iter,
+            updated_vertices: updated,
         });
-        if !any_updated {
+        if updated == 0 {
             converged = true;
             break;
         }
@@ -141,6 +108,86 @@ pub fn run_fallback<P: VertexProgram>(
             partial: Box::new(output),
         })
     }
+}
+
+/// One host sweep of the CuSha iteration over `shards`: the device
+/// kernel's exact per-shard schedule (init, fold in entry order, update
+/// condition, window write-back) on caller-provided value slices. `vv`/`sv`
+/// hold vertex values and the `SrcValue` column from global offsets
+/// `voff`/`eoff`. Stage-4 writes inside `own` land in `sv`; writes outside
+/// it are pushed to `spills` (and also written through when
+/// `sv_is_global`, i.e. the slices are the full master arrays). Returns
+/// the number of vertex values published. The fallback engine, the fleet's
+/// Phase A oracle and its host-fallback devices all run this one sweep.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn host_sweep<P: VertexProgram>(
+    prog: &P,
+    gs: &GShards,
+    static_entries: Option<&[P::SV]>,
+    edge_entries: Option<&[P::E]>,
+    shards: Range<u32>,
+    own: &Range<usize>,
+    vv: &mut [P::V],
+    voff: usize,
+    sv: &mut [P::V],
+    eoff: usize,
+    sv_is_global: bool,
+    spills: &mut Vec<(usize, P::V)>,
+) -> u64 {
+    let p = gs.num_shards();
+    let mut updated = 0;
+    for s in shards {
+        let vrange = gs.vertex_range(s);
+        let offset = vrange.start as usize;
+        // Stage 1: shard-local working copy.
+        let mut local: Vec<P::V> = vrange
+            .clone()
+            .map(|v| {
+                let mut lv = P::V::default();
+                prog.init_compute(&mut lv, &vv[v as usize - voff]);
+                lv
+            })
+            .collect();
+        // Stage 2: fold every shard entry into its destination's slot, in
+        // entry order (the simulator's lane-serialized order).
+        for e in gs.shard_entries(s) {
+            let statv = static_entries.map(|v| v[e]).unwrap_or_default();
+            let ev = edge_entries.map(|v| v[e]).unwrap_or_default();
+            let slot = gs.dest_index()[e] as usize - offset;
+            prog.compute(&sv[e - eoff], &statv, &ev, &mut local[slot]);
+        }
+        // Stage 3: publish values passing the update condition.
+        let mut block_updated = false;
+        for v in vrange.clone() {
+            let i = v as usize - offset;
+            let old = vv[v as usize - voff];
+            let mut newv = local[i];
+            let cond = prog.update_condition(&mut newv, &old);
+            local[i] = newv;
+            if cond {
+                vv[v as usize - voff] = newv;
+                block_updated = true;
+                updated += 1;
+            }
+        }
+        // Stage 4: write the shard's column back to every window.
+        if block_updated {
+            for j in 0..p {
+                for e in gs.window(s, j) {
+                    let val = local[gs.src_index()[e] as usize - offset];
+                    if own.contains(&e) {
+                        sv[e - eoff] = val;
+                    } else {
+                        if sv_is_global {
+                            sv[e - eoff] = val;
+                        }
+                        spills.push((e, val));
+                    }
+                }
+            }
+        }
+    }
+    updated
 }
 
 #[cfg(test)]

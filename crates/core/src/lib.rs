@@ -29,6 +29,7 @@ pub mod engine;
 pub mod error;
 pub mod fallback;
 pub mod integrity;
+mod kernel;
 pub mod memsize;
 pub mod middleware;
 pub mod multi;

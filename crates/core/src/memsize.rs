@@ -6,6 +6,10 @@
 //! `sizeof(StaticVertex)`; this module centralizes the arithmetic so the
 //! harness and the engine account identically.
 
+use crate::engine::Repr;
+use crate::program::VertexProgram;
+use cusha_simt::Pod;
+
 /// Value sizes of one benchmark (bytes; 0 when the array is absent).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ValueSizes {
@@ -47,6 +51,23 @@ pub fn gshards_bytes(v: u64, e: u64, num_shards: u64, s: ValueSizes) -> u64 {
 /// per-shard CW offsets.
 pub fn cw_bytes(v: u64, e: u64, num_shards: u64, s: ValueSizes) -> u64 {
     gshards_bytes(v, e, num_shards, s) + e * INDEX_BYTES + (num_shards + 1) * INDEX_BYTES
+}
+
+/// Device bytes one shard entry occupies for program `P` under `repr`:
+/// `SrcValue`, `DestIndex`, `SrcIndex`, the optional edge and static
+/// columns, and CW's `Mapper` — the batch planners' per-entry cost.
+pub(crate) fn entry_bytes<P: VertexProgram>(repr: Repr) -> u64 {
+    let mut b = <P::V as Pod>::SIZE as u64 + 2 * INDEX_BYTES;
+    if P::HAS_EDGE_VALUES {
+        b += <P::E as Pod>::SIZE as u64;
+    }
+    if P::HAS_STATIC_VALUES {
+        b += <P::SV as Pod>::SIZE as u64;
+    }
+    if matches!(repr, Repr::ConcatWindows) {
+        b += INDEX_BYTES;
+    }
+    b
 }
 
 #[cfg(test)]

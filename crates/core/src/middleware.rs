@@ -33,7 +33,7 @@ use crate::program::VertexProgram;
 use crate::stats::FaultStats;
 use crate::streaming::{try_run_streamed_observed, StreamingConfig};
 use cusha_graph::Graph;
-use cusha_simt::{FaultPlan, Interconnect, Pod};
+use cusha_simt::{DeviceFault, FaultPlan, Gpu, Interconnect, Pod};
 
 /// Per-attempt context the middleware hands an engine: the effective
 /// configuration, the (middleware-owned) fault plan to install on the
@@ -116,6 +116,41 @@ const MAX_COPY_RETRIES: u32 = 3;
 const MAX_KERNEL_RETRIES: u32 = 1;
 /// First retry's modeled backoff; doubles per retry.
 const BACKOFF_BASE_SECONDS: f64 = 1e-3;
+
+/// Retries `op` on transient copy faults with modeled exponential backoff
+/// (`backoff_base`, doubling per retry), at most `max_retries` times; other
+/// faults (OOM, kernel) pass through for coarser-grained recovery. The
+/// per-operation rung of the streamed and fleet engines' ladders.
+pub(crate) fn with_copy_retries<T>(
+    gpu: &mut Gpu,
+    max_retries: u32,
+    backoff_base: f64,
+    fault: &mut FaultStats,
+    mut op: impl FnMut(&mut Gpu) -> Result<T, DeviceFault>,
+) -> Result<T, DeviceFault> {
+    let mut attempt = 0u32;
+    loop {
+        match op(gpu) {
+            Ok(v) => return Ok(v),
+            Err(f @ DeviceFault::Copy { .. }) => {
+                if attempt >= max_retries {
+                    return Err(f);
+                }
+                fault.copy_retries += 1;
+                fault.backoff_seconds += backoff_base * (1u64 << attempt) as f64;
+                gpu.tracer().clone().instant(
+                    gpu.trace_pid(),
+                    cusha_obs::trace::lanes::FAULT,
+                    "fault",
+                    "copy-retry",
+                    gpu.total_seconds(),
+                );
+                attempt += 1;
+            }
+            Err(f) => return Err(f),
+        }
+    }
+}
 
 /// Runs `prog` over `graph` on `engine` under the full middleware stack.
 ///

@@ -36,16 +36,19 @@ use crate::cw::ConcatWindows;
 use crate::engine::Detector;
 use crate::engine::{CuShaConfig, CuShaOutput, NoopObserver, Repr, RunObserver};
 use crate::error::EngineError;
-use crate::fallback::FALLBACK_LABEL;
+use crate::fallback::{host_sweep, FALLBACK_LABEL};
 use crate::integrity::{apply_flips, checksum, CheckpointManager};
-use crate::program::VertexProgram;
+use crate::kernel::{launch_shards, Offsets, Outbox, ShardBufs, ShardLaunch, SpillSink, OWN_ENTRY};
+use crate::memsize::entry_bytes;
+use crate::middleware::with_copy_retries;
+use crate::program::{Value, VertexProgram};
 use crate::shards::GShards;
-use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
+use crate::stats::{FaultStats, IterationStat, MemoStats, RunStats, SdcStats};
 use cusha_graph::{FleetPartition, Graph};
 use cusha_obs::trace::{lanes, ArgVal};
 use cusha_simt::{
-    aligned_chunks, DevVec, DeviceFault, DeviceFleet, Gpu, Interconnect, KernelDesc, KernelStats,
-    Mask, Pod, Profile, WARP,
+    DevVec, DeviceFault, DeviceFleet, Gpu, Interconnect, KernelDesc, KernelStats, Pod, Profile,
+    REPLAY_SLOTS,
 };
 use std::collections::HashSet;
 use std::ops::Range;
@@ -191,6 +194,9 @@ pub struct DeviceRunStats {
     pub fault: FaultStats,
     /// Silent-data-corruption defense activity on this device.
     pub sdc: SdcStats,
+    /// Simulator memo activity on this device, including every fresh
+    /// device a rebatched run swapped in (each starts with cold memos).
+    pub memo: MemoStats,
     /// Per-launch kernel history when profiling was enabled.
     pub profile: Option<Profile>,
 }
@@ -229,6 +235,8 @@ pub struct MultiRunStats {
     pub fault: FaultStats,
     /// Fleet-level aggregate of every device's SDC-defense activity.
     pub sdc: SdcStats,
+    /// Fleet-level sum of every device's simulator memo activity.
+    pub memo: MemoStats,
     /// Per-iteration detail (seconds = slowest device's kernel time).
     pub per_iteration: Vec<IterationStat>,
 }
@@ -258,9 +266,7 @@ impl MultiRunStats {
             fault: self.fault,
             sdc: self.sdc,
             frontier: None,
-            // Per-device memo telemetry is not aggregated fleet-wide; the
-            // flattened shape reports none rather than a partial sum.
-            memo: Default::default(),
+            memo: self.memo,
         }
     }
 
@@ -293,6 +299,7 @@ impl MultiRunStats {
         self.aggregate.record_metrics(reg, labels);
         self.fault.record_metrics(reg, labels);
         self.sdc.record_metrics(reg, labels);
+        self.memo.record_metrics(reg, labels);
         for dev in &self.per_device {
             let id = dev.device.to_string();
             let mut dl: Vec<(&str, &str)> = labels.to_vec();
@@ -310,6 +317,7 @@ impl MultiRunStats {
             dev.kernel.record_metrics(reg, &dl);
             dev.fault.record_metrics(reg, &dl);
             dev.sdc.record_metrics(reg, &dl);
+            dev.memo.record_metrics(reg, &dl);
         }
     }
 }
@@ -377,55 +385,6 @@ pub fn try_run_multi_observed<P: VertexProgram, O: RunObserver + ?Sized>(
     }
 }
 
-/// Per-entry device bytes of one shard entry for program `P` (the rebatch
-/// planner's estimate; mirrors the streamed engine's accounting).
-fn entry_bytes<P: VertexProgram>(repr: Repr) -> u64 {
-    let mut b = <P::V as Pod>::SIZE as u64 + 4 + 4; // SrcValue + DestIndex + SrcIndex
-    if P::HAS_EDGE_VALUES {
-        b += <P::E as Pod>::SIZE as u64;
-    }
-    if P::HAS_STATIC_VALUES {
-        b += <P::SV as Pod>::SIZE as u64;
-    }
-    if matches!(repr, Repr::ConcatWindows) {
-        b += 4; // Mapper
-    }
-    b
-}
-
-/// Retries `op` on transient copy faults with exponential backoff; other
-/// faults pass through for coarser-grained recovery.
-fn with_copy_retries<T>(
-    gpu: &mut Gpu,
-    max_retries: u32,
-    backoff_base: f64,
-    fault: &mut FaultStats,
-    mut op: impl FnMut(&mut Gpu) -> Result<T, DeviceFault>,
-) -> Result<T, DeviceFault> {
-    let mut attempt = 0u32;
-    loop {
-        match op(gpu) {
-            Ok(v) => return Ok(v),
-            Err(f @ DeviceFault::Copy { .. }) => {
-                if attempt >= max_retries {
-                    return Err(f);
-                }
-                fault.copy_retries += 1;
-                fault.backoff_seconds += backoff_base * (1u64 << attempt) as f64;
-                gpu.tracer().clone().instant(
-                    gpu.trace_pid(),
-                    lanes::FAULT,
-                    "fault",
-                    "copy-retry",
-                    gpu.total_seconds(),
-                );
-                attempt += 1;
-            }
-            Err(f) => return Err(f),
-        }
-    }
-}
-
 /// Global ranges of one device's slice of the layout.
 #[derive(Clone, Debug)]
 struct DevInfo {
@@ -440,21 +399,61 @@ struct DevInfo {
     /// Sorted global entry positions this device's stage 4 writes *outside*
     /// `erange` — the halo-update targets.
     remote: Vec<usize>,
+    /// CW with remote targets: the outbox slot (index into `remote`) of
+    /// each entry in `cwrange`, [`OWN_ENTRY`] where the target is local.
+    cw_slots: Vec<u32>,
 }
 
-/// Device-resident buffers of one device's partition slice.
+impl DevInfo {
+    /// Global ranges of a contiguous shard range (empty ranges for none).
+    fn new(gs: &GShards, cw: Option<&ConcatWindows>, shards: Range<u32>) -> Self {
+        if shards.is_empty() {
+            return DevInfo {
+                shards,
+                vrange: 0..0,
+                erange: 0..0,
+                cwrange: 0..0,
+                remote: Vec::new(),
+                cw_slots: Vec::new(),
+            };
+        }
+        let (first, last) = (shards.start, shards.end - 1);
+        let vrange = gs.vertex_range(first).start as usize..gs.vertex_range(last).end as usize;
+        let erange = gs.shard_entries(first).start..gs.shard_entries(last).end;
+        let cwrange = match cw {
+            Some(cw) => cw.cw_entries(first).start..cw.cw_entries(last).end,
+            None => 0..0,
+        };
+        let remote = remote_targets(gs, cw, shards.clone(), &erange);
+        let cw_slots = match cw {
+            Some(cw) if !remote.is_empty() => cw.mapper()[cwrange.clone()]
+                .iter()
+                .map(|&pos| match remote.binary_search(&(pos as usize)) {
+                    Ok(slot) => slot as u32,
+                    Err(_) => OWN_ENTRY,
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        DevInfo {
+            shards,
+            vrange,
+            erange,
+            cwrange,
+            remote,
+            cw_slots,
+        }
+    }
+}
+
+/// Device-resident buffers of one device's slice (a partition, or one
+/// batch of a rebatched device): the kernel's own buffers plus the outbox
+/// its stage-4 writes to remote entries land in.
 struct ResidentDev<P: VertexProgram> {
-    vertex_values: DevVec<P::V>,
-    src_value: DevVec<P::V>,
-    src_static: Option<DevVec<P::SV>>,
-    edge_value: Option<DevVec<P::E>>,
-    dest_index: DevVec<u32>,
-    src_index: DevVec<u32>,
-    mapper: Option<DevVec<u32>>,
-    window_offsets: Option<DevVec<u32>>,
+    bufs: ShardBufs<P>,
+    /// G-Shards: `SrcIndex` of every remote target, slot for slot.
     remote_src_index: Option<DevVec<u32>>,
     outbox: Option<DevVec<P::V>>,
-    flag: DevVec<u32>,
 }
 
 /// Execution mode of one device.
@@ -493,6 +492,15 @@ struct TimeAcc {
     d2h: f64,
     kernel: f64,
     launched: u64,
+    memo: MemoStats,
+}
+
+/// Replay-table slots of each fleet device: the devices split one device's
+/// table, so the simulator's host memory does not grow with the fleet
+/// (each device also holds only its own shards' scopes).
+fn replay_slots(devices: usize) -> usize {
+    let share = (REPLAY_SLOTS / devices).max(2);
+    1 << share.ilog2()
 }
 
 /// Stage-4 targets of `shards` that fall outside `erange`, sorted.
@@ -584,6 +592,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         a.d2h += old.d2h_seconds;
         a.kernel += old.kernel_seconds;
         a.launched += old.kernels_launched;
+        a.memo.add(&MemoStats::from_gpu(&old));
         if let Some(p) = old.profile.take() {
             let merged = self.profiles[d].get_or_insert_with(Profile::default);
             for launch in p.launches() {
@@ -599,57 +608,52 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// (OOM → caller switches the device to rebatched mode).
     fn setup_resident(&mut self, d: usize) -> Result<(), DeviceFault> {
         let info = self.infos[d].clone();
-        let cfgc = self.cfg;
-        let (maxr, backoff) = (cfgc.max_copy_retries, cfgc.backoff_base_seconds);
+        let dev = self.upload(d, &info)?;
+        self.modes[d] = Mode::Resident(Box::new(dev));
+        Ok(())
+    }
+
+    /// Uploads the slice `info` describes from the host masters to device
+    /// `d`, retrying transient copy faults. The op sequence is the
+    /// single-device engine's, plus the remote `SrcIndex` and the outbox
+    /// before the flag.
+    fn upload(&mut self, d: usize, info: &DevInfo) -> Result<ResidentDev<P>, DeviceFault> {
+        let (maxr, backoff) = (self.cfg.max_copy_retries, self.cfg.backoff_base_seconds);
+        let (er, cwr) = (info.erange.clone(), info.cwrange.clone());
         let fault = &mut self.faults[d];
         let gpu = self.fleet.device_mut(d);
-        let up = |gpu: &mut Gpu, fault: &mut FaultStats, data: &[_]| {
-            with_copy_retries(gpu, maxr, backoff, fault, |g| g.try_upload(data))
-        };
-        let vertex_values = up(gpu, fault, &self.master_values[info.vrange.clone()])?;
-        let src_value = up(gpu, fault, &self.master_src_value[info.erange.clone()])?;
+        let vertex_values = with_copy_retries(gpu, maxr, backoff, fault, |g| {
+            g.try_upload(&self.master_values[info.vrange.clone()])
+        })?;
+        let src_value = with_copy_retries(gpu, maxr, backoff, fault, |g| {
+            g.try_upload(&self.master_src_value[er.clone()])
+        })?;
         let src_static = match &self.static_entries {
             Some(v) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&v[info.erange.clone()])
+                g.try_upload(&v[er.clone()])
             })?),
             None => None,
         };
         let edge_value = match &self.edge_entries {
             Some(v) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&v[info.erange.clone()])
+                g.try_upload(&v[er.clone()])
             })?),
             None => None,
         };
-        let dest_index = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-            g.try_upload(&self.gs.dest_index()[info.erange.clone()])
-        })?;
-        let src_index = match &self.cw {
-            Some(cw) => with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&cw.src_index()[info.cwrange.clone()])
-            })?,
-            None => with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&self.gs.src_index()[info.erange.clone()])
-            })?,
+        let mut up = |gpu: &mut Gpu, data: &[u32]| {
+            with_copy_retries(gpu, maxr, backoff, fault, |g| g.try_upload(data))
         };
-        let mapper = match &self.cw {
-            Some(cw) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&cw.mapper()[info.cwrange.clone()])
-            })?),
-            None => None,
+        let dest_index = up(gpu, &self.gs.dest_index()[er.clone()])?;
+        let (src_index, mapper) = match &self.cw {
+            Some(cw) => (
+                up(gpu, &cw.src_index()[cwr.clone()])?,
+                Some(up(gpu, &cw.mapper()[cwr])?),
+            ),
+            None => (up(gpu, &self.gs.src_index()[er])?, None),
         };
-        let window_offsets = if self.cw.is_none() {
-            let p = self.gs.num_shards() as usize;
-            let mut flat = vec![0u32; p * p];
-            for j in 0..p {
-                for i in 0..p {
-                    flat[j * p + i] = self.gs.window(i as u32, j as u32).start as u32;
-                }
-            }
-            Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&flat)
-            })?)
-        } else {
-            None
+        let window_offsets = match self.cw {
+            None => Some(up(gpu, self.gs.window_offsets())?),
+            Some(_) => None,
         };
         let remote_src_index = if self.cw.is_none() && !info.remote.is_empty() {
             let rsi: Vec<u32> = info
@@ -657,9 +661,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 .iter()
                 .map(|&k| self.gs.src_index()[k])
                 .collect();
-            Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&rsi)
-            })?)
+            Some(up(gpu, &rsi)?)
         } else {
             None
         };
@@ -668,205 +670,78 @@ impl<P: VertexProgram> MultiState<'_, P> {
         } else {
             Some(gpu.try_alloc::<P::V>(info.remote.len())?)
         };
-        let flag = with_copy_retries(gpu, maxr, backoff, fault, |g| g.try_upload(&[1u32]))?;
-        self.modes[d] = Mode::Resident(Box::new(ResidentDev {
-            vertex_values,
-            src_value,
-            src_static,
-            edge_value,
-            dest_index,
-            src_index,
-            mapper,
-            window_offsets,
+        let flag = up(gpu, &[1u32])?;
+        Ok(ResidentDev {
+            bufs: ShardBufs {
+                vertex_values,
+                src_value,
+                src_static,
+                edge_value,
+                dest_index,
+                src_index,
+                mapper,
+                window_offsets,
+                flag,
+            },
             remote_src_index,
             outbox,
-            flag,
-        }));
-        Ok(())
+        })
     }
 
-    /// Runs one launch of the four-stage kernel over `shards`, against
-    /// buffers holding the global ranges given by the offsets. Identical
-    /// op-for-op to the single-device engine when the offsets are zero and
-    /// `remote` is empty.
+    /// Launches the shared four-stage kernel over the slice `info`
+    /// describes; remote stage-4 writes go to the outbox and are recorded
+    /// in `spills`. Kernel faults relaunch in place up to `max_retries`
+    /// times (a launch fault fires before any block runs — and so before
+    /// any spill is recorded — so the relaunch is exact); the last one
+    /// surfaces. Returns the launch stats and the updated-vertex count.
     #[allow(clippy::too_many_arguments)]
-    fn launch_shards(
+    fn launch_retrying(
         gpu: &mut Gpu,
         desc: &KernelDesc,
         prog: &P,
         gs: &GShards,
         cw: Option<&ConcatWindows>,
-        shard_base: u32,
-        voff: usize,
-        eoff: usize,
-        cwoff: usize,
-        own_erange: &Range<usize>,
-        remote: &[usize],
+        info: &DevInfo,
         dev: &mut ResidentDev<P>,
-        spills: &mut Vec<(usize, P::V)>,
-        updated: &mut u64,
-    ) -> Result<KernelStats, DeviceFault> {
-        let p = gs.num_shards();
-        gpu.try_launch(desc, |b| {
-            let s = shard_base + b.id();
-            let vrange = gs.vertex_range(s);
-            let offset = vrange.start as usize;
-            let nv = vrange.len();
-            let mut local = b.shared_alloc::<P::V>(nv);
-
-            // Stage 1: coalesced fetch of VertexValues into shared memory.
-            b.phase("gather");
-            for (base, mask) in aligned_chunks(offset..offset + nv) {
-                let vals = b.gload(&dev.vertex_values, mask, |l| base + l - voff);
-                let mut inited = [P::V::default(); WARP];
-                for l in mask.iter() {
-                    let mut lv = P::V::default();
-                    prog.init_compute(&mut lv, &vals[l]);
-                    inited[l] = lv;
-                }
-                b.exec(mask, 1);
-                b.sstore(&mut local, mask, |l| base + l - offset, |l| inited[l]);
-            }
-            b.sync();
-
-            // Stage 2: fold the shard's entries into the local values.
-            b.phase("apply");
-            let er = gs.shard_entries(s);
-            for (base, mask) in aligned_chunks(er.clone()) {
-                let srcv = b.gload(&dev.src_value, mask, |l| base + l - eoff);
-                let statv = match &dev.src_static {
-                    Some(buf) => b.gload(buf, mask, |l| base + l - eoff),
-                    None => [P::SV::default(); WARP],
-                };
-                let ev = match &dev.edge_value {
-                    Some(buf) => b.gload(buf, mask, |l| base + l - eoff),
-                    None => [P::E::default(); WARP],
-                };
-                let dst = b.gload(&dev.dest_index, mask, |l| base + l - eoff);
-                b.exec(mask, P::COMPUTE_COST);
-                b.supdate(
-                    &mut local,
-                    mask,
-                    |l| dst[l] as usize - offset,
-                    |l, slot| prog.compute(&srcv[l], &statv[l], &ev[l], slot),
-                );
-            }
-            b.sync();
-
-            // Stage 3: update_condition; publish changed values.
-            b.phase("scatter");
-            let mut block_updated = false;
-            for (base, mask) in aligned_chunks(offset..offset + nv) {
-                let old = b.gload(&dev.vertex_values, mask, |l| base + l - voff);
-                let loc = b.sload(&local, mask, |l| base + l - offset);
-                let mut newv = loc;
-                let mut cond = [false; WARP];
-                for l in mask.iter() {
-                    cond[l] = prog.update_condition(&mut newv[l], &old[l]);
-                }
-                b.exec(mask, 1);
-                b.sstore(&mut local, mask, |l| base + l - offset, |l| newv[l]);
-                let smask = mask.and(Mask::from_fn(|l| cond[l]));
-                if !smask.is_empty() {
-                    b.gstore(
-                        &mut dev.vertex_values,
-                        smask,
-                        |l| base + l - voff,
-                        |l| newv[l],
+        max_retries: u32,
+        fault: &mut FaultStats,
+        spills: &mut dyn SpillSink<P::V>,
+    ) -> Result<(KernelStats, u64), DeviceFault> {
+        let launch = ShardLaunch {
+            gs,
+            cw,
+            first_shard: info.shards.start,
+            off: Offsets {
+                voff: info.vrange.start,
+                eoff: info.erange.start,
+                cwoff: info.cwrange.start,
+            },
+            own: &info.erange,
+            remote: &info.remote,
+        };
+        let mut attempts = 0u32;
+        loop {
+            let outbox = dev.outbox.as_mut().map(|buf| Outbox {
+                buf,
+                remote_src_index: dev.remote_src_index.as_ref(),
+                cw_slots: &info.cw_slots,
+                spills: &mut *spills,
+            });
+            match launch_shards(gpu, desc, prog, &launch, &mut dev.bufs, outbox) {
+                Err(DeviceFault::Kernel { .. }) if attempts < max_retries => {
+                    fault.kernel_retries += 1;
+                    gpu.tracer().clone().instant(
+                        gpu.trace_pid(),
+                        lanes::FAULT,
+                        "fault",
+                        "kernel-retry",
+                        gpu.total_seconds(),
                     );
-                    block_updated = true;
-                    *updated += smask.count() as u64;
+                    attempts += 1;
                 }
+                r => return r,
             }
-            b.sync();
-
-            // Stage 4: write-back to the windows in all shards; writes
-            // outside this launch's own entry range go to the outbox (and
-            // are recorded as spills for the halo exchange).
-            b.phase("compact");
-            if block_updated {
-                match cw {
-                    None => {
-                        for j in 0..p {
-                            if let Some(wo) = &dev.window_offsets {
-                                let lanes = if s + 1 < p { 2 } else { 1 };
-                                b.gload(wo, Mask::first(lanes), |l| (j * p + s) as usize + l);
-                            }
-                            let w = gs.window(s, j);
-                            let own = w.is_empty() || own_erange.contains(&w.start);
-                            for (base, mask) in aligned_chunks(w.clone()) {
-                                if own {
-                                    let sidx = b.gload(&dev.src_index, mask, |l| base + l - eoff);
-                                    let loc = b.sload(&local, mask, |l| sidx[l] as usize - offset);
-                                    b.gstore(
-                                        &mut dev.src_value,
-                                        mask,
-                                        |l| base + l - eoff,
-                                        |l| loc[l],
-                                    );
-                                } else {
-                                    let rsi = dev
-                                        .remote_src_index
-                                        .as_ref()
-                                        .expect("remote window requires remote_src_index");
-                                    let slot =
-                                        |l: usize| remote.binary_search(&(base + l)).unwrap();
-                                    let sidx = b.gload(rsi, mask, slot);
-                                    let loc = b.sload(&local, mask, |l| sidx[l] as usize - offset);
-                                    let ob = dev
-                                        .outbox
-                                        .as_mut()
-                                        .expect("remote window requires an outbox");
-                                    b.gstore(ob, mask, slot, |l| loc[l]);
-                                    for l in mask.iter() {
-                                        spills.push((base + l, loc[l]));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Some(cw) => {
-                        let r = cw.cw_entries(s);
-                        for (base, mask) in aligned_chunks(r) {
-                            let sidx = b.gload(&dev.src_index, mask, |l| base + l - cwoff);
-                            let map = match &dev.mapper {
-                                Some(mbuf) => b.gload(mbuf, mask, |l| base + l - cwoff),
-                                None => unreachable!("CW mode always has a mapper"),
-                            };
-                            let loc = b.sload(&local, mask, |l| sidx[l] as usize - offset);
-                            let ownmask = mask
-                                .and(Mask::from_fn(|l| own_erange.contains(&(map[l] as usize))));
-                            let remmask = mask
-                                .and(Mask::from_fn(|l| !own_erange.contains(&(map[l] as usize))));
-                            if !ownmask.is_empty() {
-                                b.gstore(
-                                    &mut dev.src_value,
-                                    ownmask,
-                                    |l| map[l] as usize - eoff,
-                                    |l| loc[l],
-                                );
-                            }
-                            if !remmask.is_empty() {
-                                let ob = dev
-                                    .outbox
-                                    .as_mut()
-                                    .expect("remote CW targets require an outbox");
-                                b.gstore(
-                                    ob,
-                                    remmask,
-                                    |l| remote.binary_search(&(map[l] as usize)).unwrap(),
-                                    |l| loc[l],
-                                );
-                                for l in remmask.iter() {
-                                    spills.push((map[l] as usize, loc[l]));
-                                }
-                            }
-                        }
-                    }
-                }
-                b.gstore(&mut dev.flag, Mask::first(1), |_| 0, |_| 0u32);
-            }
-        })
+        }
     }
 
     /// Applies every resident device's due bit flips to its on-device
@@ -881,7 +756,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
             if let Mode::Resident(dev) = &mut self.modes[d] {
                 let flips = self.fleet.device_mut(d).take_due_bit_flips();
                 if !flips.is_empty() {
-                    apply_flips(&flips, &mut dev.vertex_values, &mut dev.src_value);
+                    apply_flips(&flips, &mut dev.bufs.vertex_values, &mut dev.bufs.src_value);
                 }
             }
         }
@@ -893,8 +768,8 @@ impl<P: VertexProgram> MultiState<'_, P> {
     fn scrub(&self, crcs: &[(u64, u64)]) -> Option<usize> {
         (0..self.cfg.devices).find(|&d| {
             if let Mode::Resident(dev) = &self.modes[d] {
-                checksum(dev.vertex_values.host()) != crcs[d].0
-                    || checksum(dev.src_value.host()) != crcs[d].1
+                checksum(dev.bufs.vertex_values.host()) != crcs[d].0
+                    || checksum(dev.bufs.src_value.host()) != crcs[d].1
             } else {
                 false
             }
@@ -908,8 +783,8 @@ impl<P: VertexProgram> MultiState<'_, P> {
         for (mode, crc) in self.modes.iter().zip(crcs.iter_mut()) {
             if let Mode::Resident(dev) = mode {
                 *crc = (
-                    checksum(dev.vertex_values.host()),
-                    checksum(dev.src_value.host()),
+                    checksum(dev.bufs.vertex_values.host()),
+                    checksum(dev.bufs.src_value.host()),
                 );
             }
         }
@@ -940,14 +815,14 @@ impl<P: VertexProgram> MultiState<'_, P> {
             let gpu = self.fleet.device_mut(d);
             let fault = &mut self.faults[d];
             with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_h2d(&mut dev.vertex_values, &values[info.vrange.clone()])
+                g.try_h2d(&mut dev.bufs.vertex_values, &values[info.vrange.clone()])
             })?;
             with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_h2d(&mut dev.src_value, &src[info.erange.clone()])
+                g.try_h2d(&mut dev.bufs.src_value, &src[info.erange.clone()])
             })?;
             crcs[d] = (
-                checksum(dev.vertex_values.host()),
-                checksum(dev.src_value.host()),
+                checksum(dev.bufs.vertex_values.host()),
+                checksum(dev.bufs.src_value.host()),
             );
             let after = self.device_time(d);
             *integrity_seconds += after - before;
@@ -1069,7 +944,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// they still flow through the halo exchange accounting.
     fn host_iterate(&mut self, d: usize, shards: Range<u32>, out: &mut DeviceIter<P>) {
         let own_erange = self.infos[d].erange.clone();
-        functional_sweep(
+        out.updated += host_sweep(
             self.prog,
             &self.gs,
             self.static_entries.as_deref(),
@@ -1081,7 +956,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
             &mut self.master_src_value,
             0,
             true,
-            out,
+            &mut out.spills,
         );
     }
 
@@ -1091,21 +966,22 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// updated count at the serial point in the device order — so halo
     /// visibility matches the sequential engine — while the real launch
     /// (which recomputes the same values bit-for-bit) runs concurrently in
-    /// Phase B. The scratch is also the post-iteration device state, reused
-    /// as the master copy if the launch degrades to host fallback.
-    fn oracle_resident(&self, d: usize) -> (DeviceIter<P>, OracleState<P>) {
+    /// Phase B. Also returns the scratch: the post-iteration vertex values
+    /// and `SrcValue` slice of the device.
+    fn oracle_resident(&self, d: usize) -> (DeviceIter<P>, Vec<P::V>, Vec<P::V>) {
         let info = &self.infos[d];
         let Mode::Resident(dev) = &self.modes[d] else {
             unreachable!("oracle runs only for resident devices")
         };
-        let mut vv = dev.vertex_values.host().to_vec();
-        let mut sv = dev.src_value.host().to_vec();
+        let mut vv = dev.bufs.vertex_values.host().to_vec();
+        let mut sv = dev.bufs.src_value.host().to_vec();
+        // Each remote entry is written at most once per launch.
         let mut out = DeviceIter {
             updated: 0,
             kernel_seconds: 0.0,
-            spills: Vec::new(),
+            spills: Vec::with_capacity(info.remote.len()),
         };
-        functional_sweep(
+        out.updated += host_sweep(
             self.prog,
             &self.gs,
             self.static_entries.as_deref(),
@@ -1117,9 +993,9 @@ impl<P: VertexProgram> MultiState<'_, P> {
             &mut sv,
             info.erange.start,
             false,
-            &mut out,
+            &mut out.spills,
         );
-        (out, OracleState { vv, sv })
+        (out, vv, sv)
     }
 
     /// One iteration of a rebatched device: its shards stream through a
@@ -1208,176 +1084,54 @@ impl<P: VertexProgram> MultiState<'_, P> {
         batch: Range<u32>,
         out: &mut DeviceIter<P>,
     ) -> Result<(), DeviceFault> {
-        let voff = self.gs.vertex_range(batch.start).start as usize;
-        let vend = self.gs.vertex_range(batch.end - 1).end as usize;
-        let eoff = self.gs.shard_entries(batch.start).start;
-        let eend = self.gs.shard_entries(batch.end - 1).end;
-        let erange = eoff..eend;
-        let (cwoff, cwend) = match &self.cw {
-            Some(cw) => (
-                cw.cw_entries(batch.start).start,
-                cw.cw_entries(batch.end - 1).end,
-            ),
-            None => (0, 0),
-        };
-        let remote = remote_targets(&self.gs, self.cw.as_ref(), batch.clone(), &erange);
+        let info = DevInfo::new(&self.gs, self.cw.as_ref(), batch);
         let (maxr, backoff) = (self.cfg.max_copy_retries, self.cfg.backoff_base_seconds);
 
         // Fresh device for the batch, carrying the fault plan and retiring
         // the previous device's time totals.
         let mut fresh = Gpu::new(self.cfg.base.device.clone());
         fresh.set_profiling(self.cfg.base.profile);
+        fresh.set_replay_slots(replay_slots(self.cfg.devices));
         let old = self.fleet.replace_device(d, fresh);
         self.retire_gpu(d, old);
-
-        let mut dev = {
-            let gpu = self.fleet.device_mut(d);
-            let fault = &mut self.faults[d];
-            let vertex_values = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&self.master_values[voff..vend])
-            })?;
-            let src_value = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&self.master_src_value[erange.clone()])
-            })?;
-            let src_static = match &self.static_entries {
-                Some(v) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&v[erange.clone()])
-                })?),
-                None => None,
-            };
-            let edge_value = match &self.edge_entries {
-                Some(v) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&v[erange.clone()])
-                })?),
-                None => None,
-            };
-            let dest_index = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&self.gs.dest_index()[erange.clone()])
-            })?;
-            let src_index = match &self.cw {
-                Some(cw) => with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&cw.src_index()[cwoff..cwend])
-                })?,
-                None => with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&self.gs.src_index()[erange.clone()])
-                })?,
-            };
-            let mapper = match &self.cw {
-                Some(cw) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&cw.mapper()[cwoff..cwend])
-                })?),
-                None => None,
-            };
-            let window_offsets = if self.cw.is_none() {
-                let p = self.gs.num_shards() as usize;
-                let mut flat = vec![0u32; p * p];
-                for j in 0..p {
-                    for i in 0..p {
-                        flat[j * p + i] = self.gs.window(i as u32, j as u32).start as u32;
-                    }
-                }
-                Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&flat)
-                })?)
-            } else {
-                None
-            };
-            let remote_src_index = if self.cw.is_none() && !remote.is_empty() {
-                let rsi: Vec<u32> = remote.iter().map(|&k| self.gs.src_index()[k]).collect();
-                Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&rsi)
-                })?)
-            } else {
-                None
-            };
-            let outbox = if remote.is_empty() {
-                None
-            } else {
-                Some(gpu.try_alloc::<P::V>(remote.len())?)
-            };
-            let flag = with_copy_retries(gpu, maxr, backoff, fault, |g| g.try_upload(&[1u32]))?;
-            ResidentDev {
-                vertex_values,
-                src_value,
-                src_static,
-                edge_value,
-                dest_index,
-                src_index,
-                mapper,
-                window_offsets,
-                remote_src_index,
-                outbox,
-                flag,
-            }
-        };
+        let mut dev = self.upload(d, &info)?;
 
         let desc = KernelDesc::new(
             self.desc_name.clone(),
-            batch.len() as u32,
+            info.shards.len() as u32,
             self.cfg.base.threads_per_block,
         );
-        let mut attempts = 0u32;
-        let mut batch_updated;
         let mut batch_spills = Vec::new();
-        let kstats = {
-            let gpu = self.fleet.device_mut(d);
-            loop {
-                batch_updated = 0;
-                batch_spills.clear();
-                match Self::launch_shards(
-                    gpu,
-                    &desc,
-                    self.prog,
-                    &self.gs,
-                    self.cw.as_ref(),
-                    batch.start,
-                    voff,
-                    eoff,
-                    cwoff,
-                    &erange,
-                    &remote,
-                    &mut dev,
-                    &mut batch_spills,
-                    &mut batch_updated,
-                ) {
-                    Ok(k) => break k,
-                    Err(f @ DeviceFault::Kernel { .. }) => {
-                        if attempts < self.cfg.max_kernel_retries {
-                            self.faults[d].kernel_retries += 1;
-                            gpu.tracer().clone().instant(
-                                gpu.trace_pid(),
-                                lanes::FAULT,
-                                "fault",
-                                "kernel-retry",
-                                gpu.total_seconds(),
-                            );
-                            attempts += 1;
-                        } else {
-                            return Err(f);
-                        }
-                    }
-                    Err(other) => return Err(other),
-                }
-            }
-        };
+        let (kstats, batch_updated) = Self::launch_retrying(
+            self.fleet.device_mut(d),
+            &desc,
+            self.prog,
+            &self.gs,
+            self.cw.as_ref(),
+            &info,
+            &mut dev,
+            self.cfg.max_kernel_retries,
+            &mut self.faults[d],
+            &mut batch_spills,
+        )?;
         out.kernel_seconds += kstats.seconds;
         self.fleet.record_launch(d, &kstats);
         {
             let gpu = self.fleet.device_mut(d);
             let fault = &mut self.faults[d];
             let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_download_scalar(&dev.flag, 0)
+                g.try_download_scalar(&dev.bufs.flag, 0)
             })?;
             // Sync the batch's updated state back into the masters — the
             // next batch (and the next iteration) upload from them.
             let vals = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_download(&dev.vertex_values)
+                g.try_download(&dev.bufs.vertex_values)
             })?;
-            self.master_values[voff..vend].copy_from_slice(&vals);
+            self.master_values[info.vrange.clone()].copy_from_slice(&vals);
             let srcv = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_download(&dev.src_value)
+                g.try_download(&dev.bufs.src_value)
             })?;
-            self.master_src_value[erange.clone()].copy_from_slice(&srcv);
+            self.master_src_value[info.erange.clone()].copy_from_slice(&srcv);
         }
         // Cross-batch stage-4 writes must land in the master `SrcValue`
         // before the next batch uploads its slice — that is exactly the
@@ -1391,94 +1145,82 @@ impl<P: VertexProgram> MultiState<'_, P> {
     }
 }
 
-/// Post-iteration host mirror of one resident device, produced by the
-/// Phase A oracle: `vv` covers the device's vertex range, `sv` its entry
-/// range. Bit-identical to what the device holds after a successful Phase B
-/// launch — and to what the serial degrade path would download and
-/// re-enact, which is why it doubles as the master copy on degradation.
-struct OracleState<P: VertexProgram> {
-    vv: Vec<P::V>,
-    sv: Vec<P::V>,
+/// What the Phase A oracle predicts for one resident device's Phase B
+/// launch, and what the join checks the launch against.
+#[derive(Clone, Copy, Debug)]
+struct OracleCheck {
+    updated: u64,
+    spills: SpillDigest,
+}
+
+/// Count and FNV-1a fold of a spill sequence, one 64-bit word at a time —
+/// position, then value bit pattern, in write order. Phase B records its
+/// launch's spills into one of these instead of a list: the Phase A oracle
+/// has already published the values, so only the check needs them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SpillDigest {
+    count: u64,
+    hash: u64,
+}
+
+impl SpillDigest {
+    fn new() -> Self {
+        SpillDigest {
+            count: 0,
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn of<V: Value>(spills: &[(usize, V)]) -> Self {
+        let mut d = Self::new();
+        for &(k, v) in spills {
+            d.spill(k, v);
+        }
+        d
+    }
+}
+
+impl<V: Value> SpillSink<V> for SpillDigest {
+    fn spill(&mut self, entry: usize, value: V) {
+        const PRIME: u64 = 0x100_0000_01b3;
+        self.count += 1;
+        self.hash = (self.hash ^ entry as u64).wrapping_mul(PRIME);
+        self.hash = (self.hash ^ value.to_bits()).wrapping_mul(PRIME);
+    }
+}
+
+/// Release-mode check of a Phase B launch against its Phase A oracle:
+/// updated counts, spill counts, then the spill digests. `None` when they
+/// agree, else what differed.
+fn oracle_mismatch(updated: u64, spills: SpillDigest, oracle: &OracleCheck) -> Option<String> {
+    if updated != oracle.updated {
+        return Some(format!(
+            "launch updated {updated} vertices, oracle {}",
+            oracle.updated
+        ));
+    }
+    let want = oracle.spills;
+    if spills.count != want.count {
+        return Some(format!(
+            "launch wrote {} halo entries, oracle {}",
+            spills.count, want.count
+        ));
+    }
+    (spills.hash != want.hash).then(|| {
+        format!(
+            "halo digest {:#018x}, oracle {:#018x}",
+            spills.hash, want.hash
+        )
+    })
 }
 
 /// What one resident device's Phase B worker brings back to the join point.
-struct ResidentOutcome<P: VertexProgram> {
+struct ResidentOutcome {
     /// `Some` for a completed launch; `None` when kernel retries were
     /// exhausted and the device must degrade to host fallback.
     kstats: Option<KernelStats>,
     updated: u64,
-    spills: Vec<(usize, P::V)>,
-}
-
-/// The shared functional core of the CuSha iteration on host memory: the
-/// exact per-shard schedule of the device kernel (init, fold, update
-/// condition, window write-back), over caller-provided value slices.
-/// `vv`/`sv` hold vertex values and the `SrcValue` column starting at global
-/// offsets `voff`/`eoff`. Stage-4 writes inside `own_erange` land in `sv`;
-/// writes outside it are pushed as spills (and also written through when
-/// `sv_is_global`, i.e. the slices are the full master arrays).
-#[allow(clippy::too_many_arguments)]
-fn functional_sweep<P: VertexProgram>(
-    prog: &P,
-    gs: &GShards,
-    static_entries: Option<&[P::SV]>,
-    edge_entries: Option<&[P::E]>,
-    shards: Range<u32>,
-    own_erange: &Range<usize>,
-    vv: &mut [P::V],
-    voff: usize,
-    sv: &mut [P::V],
-    eoff: usize,
-    sv_is_global: bool,
-    out: &mut DeviceIter<P>,
-) {
-    let p = gs.num_shards();
-    for s in shards {
-        let vrange = gs.vertex_range(s);
-        let offset = vrange.start as usize;
-        let mut local: Vec<P::V> = vrange
-            .clone()
-            .map(|v| {
-                let mut lv = P::V::default();
-                prog.init_compute(&mut lv, &vv[v as usize - voff]);
-                lv
-            })
-            .collect();
-        for e in gs.shard_entries(s) {
-            let statv = static_entries.map(|v| v[e]).unwrap_or_default();
-            let ev = edge_entries.map(|v| v[e]).unwrap_or_default();
-            let slot = gs.dest_index()[e] as usize - offset;
-            prog.compute(&sv[e - eoff], &statv, &ev, &mut local[slot]);
-        }
-        let mut block_updated = false;
-        for v in vrange.clone() {
-            let i = v as usize - offset;
-            let old = vv[v as usize - voff];
-            let mut newv = local[i];
-            let cond = prog.update_condition(&mut newv, &old);
-            local[i] = newv;
-            if cond {
-                vv[v as usize - voff] = newv;
-                block_updated = true;
-                out.updated += 1;
-            }
-        }
-        if block_updated {
-            for j in 0..p {
-                for e in gs.window(s, j) {
-                    let val = local[gs.src_index()[e] as usize - offset];
-                    if own_erange.contains(&e) {
-                        sv[e - eoff] = val;
-                    } else {
-                        if sv_is_global {
-                            sv[e - eoff] = val;
-                        }
-                        out.spills.push((e, val));
-                    }
-                }
-            }
-        }
-    }
+    spills: SpillDigest,
 }
 
 /// Phase B body for one resident device, run on a worker thread against
@@ -1501,68 +1243,49 @@ fn resident_iteration<P: VertexProgram>(
     gpu: &mut Gpu,
     dev: &mut ResidentDev<P>,
     fault: &mut FaultStats,
-) -> Result<ResidentOutcome<P>, DeviceFault> {
+) -> Result<ResidentOutcome, DeviceFault> {
     let (maxr, backoff) = (cfg.max_copy_retries, cfg.backoff_base_seconds);
     with_copy_retries(gpu, maxr, backoff, fault, |g| {
-        g.try_h2d(&mut dev.flag, &[1u32])
+        g.try_h2d(&mut dev.bufs.flag, &[1u32])
     })?;
-    let mut attempts = 0u32;
-    loop {
-        let mut updated = 0u64;
-        let mut spills = Vec::new();
-        match MultiState::launch_shards(
-            gpu,
-            desc,
-            prog,
-            gs,
-            cw,
-            info.shards.start,
-            info.vrange.start,
-            info.erange.start,
-            info.cwrange.start,
-            &info.erange,
-            &info.remote,
-            dev,
-            &mut spills,
-            &mut updated,
-        ) {
-            Ok(k) => {
-                // Per-iteration is_converged readback, as in Figure 5.
-                let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_download_scalar(&dev.flag, 0)
-                })?;
-                return Ok(ResidentOutcome {
-                    kstats: Some(k),
-                    updated,
-                    spills,
-                });
-            }
-            Err(DeviceFault::Kernel { .. }) if attempts < cfg.max_kernel_retries => {
-                fault.kernel_retries += 1;
-                gpu.tracer().clone().instant(
-                    gpu.trace_pid(),
-                    lanes::FAULT,
-                    "fault",
-                    "kernel-retry",
-                    gpu.total_seconds(),
-                );
-                attempts += 1;
-            }
-            Err(DeviceFault::Kernel { .. }) => {
-                let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_download(&dev.vertex_values)
-                })?;
-                let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_download(&dev.src_value)
-                })?;
-                return Ok(ResidentOutcome {
-                    kstats: None,
-                    updated: 0,
-                    spills: Vec::new(),
-                });
-            }
-            Err(other) => return Err(other),
+    let mut spills = SpillDigest::new();
+    match MultiState::launch_retrying(
+        gpu,
+        desc,
+        prog,
+        gs,
+        cw,
+        info,
+        dev,
+        cfg.max_kernel_retries,
+        fault,
+        &mut spills,
+    ) {
+        Ok((k, updated)) => {
+            // Per-iteration is_converged readback, as in Figure 5.
+            let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
+                g.try_download_scalar(&dev.bufs.flag, 0)
+            })?;
+            Ok(ResidentOutcome {
+                kstats: Some(k),
+                updated,
+                spills,
+            })
         }
+        Err(DeviceFault::Kernel { .. }) => {
+            let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
+                g.try_download(&dev.bufs.vertex_values)
+            })?;
+            let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
+                g.try_download(&dev.bufs.src_value)
+            })?;
+            Ok(ResidentOutcome {
+                kstats: None,
+                updated: 0,
+                spills,
+            })
+        }
+        Err(other) => Err(other),
     }
 }
 
@@ -1611,6 +1334,9 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     let fleet_pid = fleet.fleet_pid();
     for d in 0..cfg.devices {
         fleet.device_mut(d).set_profiling(cfg.base.profile);
+        fleet
+            .device_mut(d)
+            .set_replay_slots(replay_slots(cfg.devices));
     }
     let mut plans = cfg.fault_plans.clone();
     if plans.iter().all(Option::is_none) {
@@ -1628,30 +1354,14 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     }
 
     // Per-device global ranges from the edge-balanced partition.
-    let mut infos = Vec::with_capacity(cfg.devices);
-    for part in fp.parts() {
-        let shards = part.shards.start as u32..part.shards.end as u32;
-        let (vrange, erange, cwrange) = if shards.is_empty() {
-            (0..0, 0..0, 0..0)
-        } else {
-            let vr = gs.vertex_range(shards.start).start as usize
-                ..gs.vertex_range(shards.end - 1).end as usize;
-            let er = gs.shard_entries(shards.start).start..gs.shard_entries(shards.end - 1).end;
-            let cwr = match &cw {
-                Some(cw) => cw.cw_entries(shards.start).start..cw.cw_entries(shards.end - 1).end,
-                None => 0..0,
-            };
-            (vr, er, cwr)
-        };
-        let remote = remote_targets(&gs, cw.as_ref(), shards.clone(), &erange);
-        infos.push(DevInfo {
-            shards,
-            vrange,
-            erange,
-            cwrange,
-            remote,
-        });
-    }
+    let infos: Vec<DevInfo> = fp
+        .parts()
+        .iter()
+        .map(|part| {
+            let shards = part.shards.start as u32..part.shards.end as u32;
+            DevInfo::new(&gs, cw.as_ref(), shards)
+        })
+        .collect();
     // Monotone entry starts for owner lookup; empty partitions inherit the
     // running boundary so `partition_point` never sees a regression.
     let mut estarts: Vec<usize> = Vec::with_capacity(cfg.devices + 1);
@@ -1754,12 +1464,14 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         aggregate: KernelStats::default(),
         fault: FaultStats::default(),
         sdc: SdcStats::default(),
+        memo: MemoStats::default(),
         per_iteration: Vec::new(),
     };
     let mut sent_bytes_total = vec![0u64; cfg.devices];
     let mut recv_bytes_total = vec![0u64; cfg.devices];
     let mut time_marks = setup_marks;
     let mut watchdog_seen: HashSet<u64> = HashSet::new();
+    let mut halo_seen = vec![0u64; (graph.num_vertices() as usize * cfg.devices).div_ceil(64)];
     let mut watchdog_seconds = 0.0f64;
     let mut converged = false;
 
@@ -1819,8 +1531,12 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         let mut iter_updated = 0u64;
         let mut max_wall = 0.0f64;
         let mut max_kernel = 0.0f64;
-        let mut sent_pairs: Vec<HashSet<(u32, usize)>> =
-            (0..cfg.devices).map(|_| HashSet::new()).collect();
+        // Distinct (source vertex, target device) halo pairs, one bit
+        // each: a vertex's value crosses to a peer at most once per
+        // exchange. Each device spills only its own vertices' values.
+        halo_seen.fill(0);
+        let mut sent_pairs = vec![0u64; cfg.devices];
+        let mut recv_pairs = vec![0u64; cfg.devices];
         // ---- Phase A: serial functional oracle, in device order ----------
         // Resident devices are re-enacted on host scratch without touching
         // the device; rebatched and fallback devices, whose work is
@@ -1829,17 +1545,22 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         // devices' `SrcValue` mirrors — at exactly the serial schedule's
         // points, before any Phase B launch consumes it.
         let mut iters: Vec<Option<DeviceIter<P>>> = (0..cfg.devices).map(|_| None).collect();
-        let mut oracle: Vec<Option<OracleState<P>>> = (0..cfg.devices).map(|_| None).collect();
+        let mut oracle: Vec<Option<OracleCheck>> = vec![None; cfg.devices];
         // Spills whose resident owner precedes the writer in device order:
         // the serial schedule lands them after the owner's launch, so the
         // parallel one must hold them until every launch has joined.
         let mut deferred: Vec<(usize, usize, P::V)> = Vec::new();
         for d in 0..cfg.devices {
-            let res = match &st.modes[d] {
+            let mut res = match &st.modes[d] {
                 Mode::Idle => continue,
                 Mode::Resident(_) => {
-                    let (res, scratch) = st.oracle_resident(d);
-                    oracle[d] = Some(scratch);
+                    // The scratch is dropped here; a degrading launch
+                    // rebuilds it at the join.
+                    let (res, _, _) = st.oracle_resident(d);
+                    oracle[d] = Some(OracleCheck {
+                        updated: res.updated,
+                        spills: SpillDigest::of(&res.spills),
+                    });
                     res
                 }
                 Mode::Rebatched { .. } => st.iterate_rebatched(d).map_err(EngineError::from)?,
@@ -1863,14 +1584,22 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                 if t != d {
                     match &mut st.modes[t] {
                         Mode::Resident(dev) if t > d => {
-                            dev.src_value.host_mut()[k - st.infos[t].erange.start] = v;
+                            dev.bufs.src_value.host_mut()[k - st.infos[t].erange.start] = v;
                         }
                         Mode::Resident(_) => deferred.push((t, k, v)),
                         _ => {}
                     }
-                    sent_pairs[d].insert((st.gs.src_index()[k], t));
+                    let bit = st.gs.src_index()[k] as usize * cfg.devices + t;
+                    let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+                    if halo_seen[word] & mask == 0 {
+                        halo_seen[word] |= mask;
+                        sent_pairs[d] += 1;
+                        recv_pairs[t] += 1;
+                    }
                 }
             }
+            // Published: only the oracle's digest of them is needed now.
+            res.spills = Vec::new();
             iters[d] = Some(res);
         }
 
@@ -1881,7 +1610,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         // per-device, so the thread interleaving cannot change a single
         // charge, counter, or value — only how fast the host gets through
         // them.
-        let mut outcomes: Vec<Option<Result<ResidentOutcome<P>, DeviceFault>>> =
+        let mut outcomes: Vec<Option<Result<ResidentOutcome, DeviceFault>>> =
             (0..cfg.devices).map(|_| None).collect();
         {
             let prog = st.prog;
@@ -1918,32 +1647,43 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             for (i, w) in work.into_iter().enumerate() {
                 buckets[i % jobs].push(w);
             }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
+            let run_bucket = |bucket: Vec<_>| {
+                bucket
                     .into_iter()
-                    .map(|bucket| {
-                        scope.spawn(move || {
-                            bucket
-                                .into_iter()
-                                .map(|(d, desc, gpu, dev, fault)| {
-                                    let pid = gpu.trace_pid();
-                                    let fork = gpu.tracer().fork();
-                                    gpu.set_tracer(fork, pid);
-                                    let r = resident_iteration(
-                                        prog, mcfg, gs, cw, &infos[d], &desc, gpu, dev, fault,
-                                    );
-                                    (d, r)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (d, r) in h.join().expect("phase B worker panicked") {
-                        outcomes[d] = Some(r);
-                    }
-                }
-            });
+                    .map(
+                        |(d, desc, gpu, dev, fault): (usize, KernelDesc, &mut Gpu, _, _)| {
+                            let pid = gpu.trace_pid();
+                            let fork = gpu.tracer().fork();
+                            gpu.set_tracer(fork, pid);
+                            let r = resident_iteration(
+                                prog, mcfg, gs, cw, &infos[d], &desc, gpu, dev, fault,
+                            );
+                            (d, r)
+                        },
+                    )
+                    .collect::<Vec<_>>()
+            };
+            // One job runs on the calling thread. A worker spawned per
+            // iteration would be placed on the other CPU, so every
+            // iteration would hop between CPUs and a stall on either one
+            // would stretch the solve.
+            let results: Vec<_> = if jobs == 1 {
+                buckets.into_iter().flat_map(run_bucket).collect()
+            } else {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = buckets
+                        .into_iter()
+                        .map(|bucket| scope.spawn(move || run_bucket(bucket)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("phase B worker panicked"))
+                        .collect()
+                })
+            };
+            for (d, r) in results {
+                outcomes[d] = Some(r);
+            }
         }
 
         // ---- Join: fold Phase B back in, in device order -----------------
@@ -1973,20 +1713,26 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             let it = iters[d].as_mut().expect("oracle ran for this device");
             match oc.kstats {
                 Some(k) => {
-                    debug_assert_eq!(
-                        oc.updated, it.updated,
-                        "device {d}: launch diverged from the Phase A oracle"
-                    );
-                    debug_assert_eq!(oc.spills, it.spills);
+                    // The oracle already published this launch's halo
+                    // updates; a launch that disagrees with it leaves the
+                    // fleet's values untrustworthy, so the run stops.
+                    let want = oracle[d].as_ref().expect("oracle state");
+                    if let Some(detail) = oracle_mismatch(oc.updated, oc.spills, want) {
+                        return Err(EngineError::OracleMismatch { device: d, detail });
+                    }
                     it.kernel_seconds = k.seconds;
                     st.fleet.record_launch(d, &k);
                 }
                 None => {
                     // Kernel retries exhausted: degrade to host fallback.
                     // The worker already charged the serial path's state
-                    // downloads; the oracle scratch is bit-identical to
-                    // download-then-re-enact, so it becomes the master copy.
-                    let OracleState { vv, sv } = oracle[d].take().expect("oracle state");
+                    // downloads. A launch fault fires before any block
+                    // runs and the deferred spills have not landed yet, so
+                    // the device mirrors still hold the oracle's input:
+                    // re-running it rebuilds the Phase A scratch, which is
+                    // bit-identical to download-then-re-enact and becomes
+                    // the master copy.
+                    let (_, vv, sv) = st.oracle_resident(d);
                     let info = &st.infos[d];
                     st.master_values[info.vrange.clone()].copy_from_slice(&vv);
                     st.master_src_value[info.erange.clone()].copy_from_slice(&sv);
@@ -2008,7 +1754,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         // post-iteration state, which predates these writes).
         for &(t, k, v) in &deferred {
             if let Mode::Resident(dev) = &mut st.modes[t] {
-                dev.src_value.host_mut()[k - st.infos[t].erange.start] = v;
+                dev.bufs.src_value.host_mut()[k - st.infos[t].erange.start] = v;
             } else {
                 st.master_src_value[k] = v;
             }
@@ -2064,7 +1810,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         // Bulk-synchronous halo exchange over the interconnect.
         let sent: Vec<u64> = sent_pairs
             .iter()
-            .map(|s| s.len() as u64 * halo_bytes_per_vertex)
+            .map(|&n| n * halo_bytes_per_vertex)
             .collect();
         let exchange = st.fleet.exchange_seconds(&sent);
         stats.exchange_seconds += exchange;
@@ -2079,12 +1825,10 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             || vec![("bytes", ArgVal::U64(exchanged_bytes))],
         );
         fleet_clock += exchange;
-        for (d, set) in sent_pairs.iter().enumerate() {
+        for d in 0..cfg.devices {
             sent_bytes_total[d] += sent[d];
             stats.exchange_bytes += sent[d];
-            for &(_, t) in set {
-                recv_bytes_total[t] += halo_bytes_per_vertex;
-            }
+            recv_bytes_total[d] += recv_pairs[d] * halo_bytes_per_vertex;
         }
         if iter_updated == 0 {
             converged = true;
@@ -2113,7 +1857,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                         cfg.max_copy_retries,
                         cfg.backoff_base_seconds,
                         fault,
-                        |g| g.try_download(&dev.vertex_values),
+                        |g| g.try_download(&dev.bufs.vertex_values),
                     )
                     .map_err(EngineError::from)?;
                     vals[st.infos[d].vrange.clone()].copy_from_slice(&v);
@@ -2122,7 +1866,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                         cfg.max_copy_retries,
                         cfg.backoff_base_seconds,
                         fault,
-                        |g| g.try_download(&dev.src_value),
+                        |g| g.try_download(&dev.bufs.src_value),
                     )
                     .map_err(EngineError::from)?;
                     srcs[st.infos[d].erange.clone()].copy_from_slice(&sv);
@@ -2178,7 +1922,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                             cfg.max_copy_retries,
                             cfg.backoff_base_seconds,
                             fault,
-                            |g| g.try_download(&dev.vertex_values),
+                            |g| g.try_download(&dev.bufs.vertex_values),
                         )
                         .map_err(EngineError::from)?;
                         snapshot[st.infos[d].vrange.clone()].copy_from_slice(&vals);
@@ -2218,7 +1962,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                 cfg.max_copy_retries,
                 cfg.backoff_base_seconds,
                 fault,
-                |g| g.try_download(&dev.vertex_values),
+                |g| g.try_download(&dev.bufs.vertex_values),
             )
             .map_err(EngineError::from)?;
             values[st.infos[d].vrange.clone()].copy_from_slice(&vals);
@@ -2243,6 +1987,8 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             .map(|p| p.injected().bit_flips)
             .unwrap_or(0);
         let a = st.acc[d];
+        let mut memo = a.memo;
+        memo.add(&MemoStats::from_gpu(gpu));
         let part = &fp.parts()[d];
         let mut profile = st.profiles[d].take();
         if let Some(fresh) = st.fleet.device(d).profile.as_ref() {
@@ -2267,6 +2013,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             exchange_recv_bytes: recv_bytes_total[d],
             fault: st.faults[d],
             sdc: st.sdcs[d],
+            memo,
             profile,
         });
         let f = &st.faults[d];
@@ -2276,6 +2023,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         stats.fault.degradations += f.degradations;
         stats.fault.kernel_retries += f.kernel_retries;
         stats.sdc.absorb(&st.sdcs[d]);
+        stats.memo.add(&memo);
     }
     stats.aggregate = st.fleet.aggregate_stats();
     stats.aggregate.name = st.desc_name.clone();
@@ -2633,6 +2381,45 @@ mod tests {
         assert!(text.contains("device_kernel_seconds{device=1,engine=multi}"));
         assert!(text.contains("gpu_gld_efficiency{device=1,engine=multi}"));
         assert!(text.contains("fault_copy_retries{engine=multi}"));
+        // Memo telemetry, per device and summed fleet-wide.
+        let hits: u64 = multi
+            .stats
+            .per_device
+            .iter()
+            .map(|d| d.memo.replay_hits)
+            .sum();
+        assert!(hits > 0);
+        assert_eq!(multi.stats.memo.replay_hits, hits);
+        assert_eq!(multi.stats.as_run_stats().memo, multi.stats.memo);
+        assert!(text.contains("simt_replay_memo_hits_total{device=0,engine=multi}"));
+        assert!(text.contains("simt_coalesce_memo_misses_total{device=1,engine=multi}"));
+        assert!(text.contains(&format!(
+            "simt_replay_memo_hits_total{{engine=multi}} = {hits}"
+        )));
+    }
+
+    #[test]
+    fn oracle_check_names_what_differs() {
+        let digest = |s: &[(usize, u32)]| SpillDigest::of(s);
+        let spills = [(5, 1), (9, 2)];
+        let oracle = OracleCheck {
+            updated: 3,
+            spills: digest(&spills),
+        };
+        assert_eq!(oracle_mismatch(3, digest(&spills), &oracle), None);
+        let cases = [
+            (4, digest(&spills), "updated 4"),
+            (3, digest(&spills[..1]), "1 halo entries"),
+            (3, digest(&[(9, 2), (5, 1)]), "digest"),
+            (3, digest(&[(5, 1), (9, 3)]), "digest"),
+        ];
+        for (updated, spills, want) in cases {
+            let detail = oracle_mismatch(updated, spills, &oracle).expect("mismatch");
+            assert!(detail.contains(want), "{detail}");
+            let e: EngineError<u32> = EngineError::OracleMismatch { device: 1, detail };
+            assert_eq!(e.kind(), "oracle-mismatch");
+            assert!(e.to_string().starts_with("device 1: "), "{e}");
+        }
     }
 
     #[test]

@@ -166,6 +166,13 @@ impl GShards {
         start..end
     }
 
+    /// The p×p window-start table, `[j * p + i]` = start of `W_ij` — the
+    /// array G-Shards' stage 4 reads each window's boundary from.
+    #[inline]
+    pub fn window_offsets(&self) -> &[u32] {
+        &self.window_offsets
+    }
+
     /// `SrcIndex` column (shard-major).
     #[inline]
     pub fn src_index(&self) -> &[VertexId] {

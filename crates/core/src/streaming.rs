@@ -46,11 +46,13 @@
 
 use crate::cw::ConcatWindows;
 use crate::engine::Detector;
-use crate::engine::{CuShaConfig, CuShaOutput, Repr, RunObserver};
+use crate::engine::{fingerprint, CuShaConfig, CuShaOutput, Repr, RunObserver};
 use crate::error::EngineError;
 use crate::fallback::run_fallback;
 use crate::integrity::{apply_flips, checksum, CheckpointManager};
-use crate::program::{Value, VertexProgram};
+use crate::memsize::entry_bytes;
+use crate::middleware::with_copy_retries;
+use crate::program::VertexProgram;
 use crate::shards::GShards;
 use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
@@ -119,21 +121,6 @@ impl StreamingConfig {
     }
 }
 
-/// Per-entry bytes a shard entry occupies on the device for program `P`.
-fn entry_bytes<P: VertexProgram>(repr: Repr) -> u64 {
-    let mut b = <P::V as Pod>::SIZE as u64 + 4 /* DestIndex */ + 4 /* SrcIndex */;
-    if P::HAS_EDGE_VALUES {
-        b += <P::E as Pod>::SIZE as u64;
-    }
-    if P::HAS_STATIC_VALUES {
-        b += <P::SV as Pod>::SIZE as u64;
-    }
-    if matches!(repr, Repr::ConcatWindows) {
-        b += 4; // Mapper
-    }
-    b
-}
-
 /// Splits shards into batches of consecutive shards whose entry arrays fit
 /// the byte budget. Every batch holds at least one shard (a single shard
 /// larger than the budget still forms its own batch — the kernel cannot
@@ -175,39 +162,6 @@ enum AttemptError {
 impl From<DeviceFault> for AttemptError {
     fn from(f: DeviceFault) -> Self {
         AttemptError::Fault(f)
-    }
-}
-
-/// Retries `op` on transient copy faults with exponential backoff; other
-/// faults (OOM, kernel) pass through for coarser-grained recovery.
-fn with_copy_retries<T>(
-    gpu: &mut Gpu,
-    cfg: &StreamingConfig,
-    fault: &mut FaultStats,
-    mut op: impl FnMut(&mut Gpu) -> Result<T, DeviceFault>,
-) -> Result<T, DeviceFault> {
-    let mut attempt = 0u32;
-    loop {
-        match op(gpu) {
-            Ok(v) => return Ok(v),
-            Err(f @ DeviceFault::Copy { .. }) => {
-                if attempt >= cfg.max_copy_retries {
-                    return Err(f);
-                }
-                fault.copy_retries += 1;
-                let backoff = cfg.backoff_base_seconds * (1u64 << attempt) as f64;
-                fault.backoff_seconds += backoff;
-                gpu.tracer().clone().instant(
-                    gpu.trace_pid(),
-                    lanes::FAULT,
-                    "fault",
-                    "copy-retry",
-                    gpu.total_seconds(),
-                );
-                attempt += 1;
-            }
-            Err(f) => return Err(f),
-        }
     }
 }
 
@@ -452,6 +406,7 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     elapsed_base: f64,
 ) -> Result<CuShaOutput<P::V>, AttemptError> {
     let base = &cfg.base;
+    let (maxr, backoff) = (cfg.max_copy_retries, cfg.backoff_base_seconds);
     let n_per = base.vertices_per_shard.unwrap_or_else(|| {
         crate::autotune::select_vertices_per_shard(
             graph.num_vertices() as u64,
@@ -483,8 +438,9 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     });
 
     // Resident state: vertex values + convergence flag.
-    let mut vertex_values = with_copy_retries(gpu, cfg, fault, |g| g.try_upload(&init))?;
-    let mut converged_flag = with_copy_retries(gpu, cfg, fault, |g| g.try_upload(&[1u32]))?;
+    let mut vertex_values = with_copy_retries(gpu, maxr, backoff, fault, |g| g.try_upload(&init))?;
+    let mut converged_flag =
+        with_copy_retries(gpu, maxr, backoff, fault, |g| g.try_upload(&[1u32]))?;
     let h2d_resident = gpu.h2d_seconds;
 
     let per_entry = entry_bytes::<P>(repr);
@@ -536,7 +492,7 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             );
             if sdc.rollbacks < integ.max_rollbacks {
                 let cp = ckpts.latest().expect("initial checkpoint always present");
-                with_copy_retries(gpu, cfg, fault, |g| {
+                with_copy_retries(gpu, maxr, backoff, fault, |g| {
                     g.try_h2d(&mut vertex_values, &cp.values)
                 })?;
                 master_src_value.copy_from_slice(&cp.src_value);
@@ -556,7 +512,9 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 );
                 true
             } else if sdc.full_restarts < integ.max_full_restarts {
-                with_copy_retries(gpu, cfg, fault, |g| g.try_h2d(&mut vertex_values, &init))?;
+                with_copy_retries(gpu, maxr, backoff, fault, |g| {
+                    g.try_h2d(&mut vertex_values, &init)
+                })?;
                 for (k, &s) in gs.src_index().iter().enumerate() {
                     master_src_value[k] = init[s as usize];
                 }
@@ -585,7 +543,9 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
 
     'iter: while total.iterations < base.max_iterations {
         let iter_ts = gpu.total_seconds();
-        with_copy_retries(gpu, cfg, fault, |g| g.try_h2d(&mut converged_flag, &[1u32]))?;
+        with_copy_retries(gpu, maxr, backoff, fault, |g| {
+            g.try_h2d(&mut converged_flag, &[1u32])
+        })?;
         extra_transfer_seconds += base.device.transfer_seconds(4);
         let mut updated_this_iter = 0u64;
         let mut copy_times = Vec::with_capacity(batches.len());
@@ -599,38 +559,38 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
 
             // ---- Upload the batch (tracked separately for pipelining). ----
             let h2d_before = gpu.h2d_seconds;
-            let mut src_value = with_copy_retries(gpu, cfg, fault, |g| {
+            let mut src_value = with_copy_retries(gpu, maxr, backoff, fault, |g| {
                 g.try_upload(&master_src_value[er_all.clone()])
             })?;
             let static_buf: Option<DevVec<P::SV>> = match master_static.as_ref() {
-                Some(m) => Some(with_copy_retries(gpu, cfg, fault, |g| {
+                Some(m) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
                     g.try_upload(&m[er_all.clone()])
                 })?),
                 None => None,
             };
             let edge_buf: Option<DevVec<P::E>> = match master_edges.as_ref() {
-                Some(m) => Some(with_copy_retries(gpu, cfg, fault, |g| {
+                Some(m) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
                     g.try_upload(&m[er_all.clone()])
                 })?),
                 None => None,
             };
-            let dest_index = with_copy_retries(gpu, cfg, fault, |g| {
+            let dest_index = with_copy_retries(gpu, maxr, backoff, fault, |g| {
                 g.try_upload(&gs.dest_index()[er_all.clone()])
             })?;
             let (src_index, mapper_buf) = match &cw {
                 Some(cw) => {
                     let cw_lo = cw.cw_entries(batch.start).start;
                     let cw_hi = cw.cw_entries(batch.end - 1).end;
-                    let si = with_copy_retries(gpu, cfg, fault, |g| {
+                    let si = with_copy_retries(gpu, maxr, backoff, fault, |g| {
                         g.try_upload(&cw.src_index()[cw_lo..cw_hi])
                     })?;
-                    let mp = with_copy_retries(gpu, cfg, fault, |g| {
+                    let mp = with_copy_retries(gpu, maxr, backoff, fault, |g| {
                         g.try_upload(&cw.mapper()[cw_lo..cw_hi])
                     })?;
                     (si, Some((mp, cw_lo)))
                 }
                 None => (
-                    with_copy_retries(gpu, cfg, fault, |g| {
+                    with_copy_retries(gpu, maxr, backoff, fault, |g| {
                         g.try_upload(&gs.src_index()[er_all.clone()])
                     })?,
                     None,
@@ -776,7 +736,11 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                                     let res_mask =
                                         mask.and(Mask::from_fn(|l| er_all.contains(&(abase + l))));
                                     let loaded = if !res_mask.is_empty() {
-                                        b.gload_run(&src_index, res_mask, abase as isize - lo as isize)
+                                        b.gload_run(
+                                            &src_index,
+                                            res_mask,
+                                            abase as isize - lo as isize,
+                                        )
                                     } else {
                                         [0u32; WARP]
                                     };
@@ -798,8 +762,7 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                             for (abase, mask) in aligned_chunks(r) {
                                 let shift = abase as isize - cw_lo as isize;
                                 let sidx = b.gload_run(&src_index, mask, shift);
-                                let map =
-                                    b.gload_run(&mapper_buf.as_ref().unwrap().0, mask, shift);
+                                let map = b.gload_run(&mapper_buf.as_ref().unwrap().0, mask, shift);
                                 let mut abs = [0usize; WARP];
                                 for l in mask.iter() {
                                     abs[l] = map[l] as usize;
@@ -845,7 +808,8 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             total.kernel.threads_per_block = kstats.threads_per_block;
 
             // ---- Write the batch's SrcValue back to the host master. ------
-            let batch_values = with_copy_retries(gpu, cfg, fault, |g| g.try_download(&src_value))?;
+            let batch_values =
+                with_copy_retries(gpu, maxr, backoff, fault, |g| g.try_download(&src_value))?;
             master_src_value[er_all].copy_from_slice(&batch_values);
             extra_transfer_seconds += base.device.transfer_seconds(host_writes);
             let shards = batch.len() as u64;
@@ -883,7 +847,7 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             seconds: iter_seconds,
             updated_vertices: updated_this_iter,
         });
-        let flag = with_copy_retries(gpu, cfg, fault, |g| {
+        let flag = with_copy_retries(gpu, maxr, backoff, fault, |g| {
             g.try_download_scalar(&converged_flag, 0)
         })?;
         let iter = total.iterations as u64 - 1;
@@ -923,7 +887,9 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         // snapshot, and store it (with the master `SrcValue` column) as the
         // new rollback target.
         if integ.mode.enabled() && total.iterations.is_multiple_of(integ.checkpoint_every) {
-            let vals = with_copy_retries(gpu, cfg, fault, |g| g.try_download(&vertex_values))?;
+            let vals = with_copy_retries(gpu, maxr, backoff, fault, |g| {
+                g.try_download(&vertex_values)
+            })?;
             if integ.mode.invariants() {
                 let prev = &ckpts.latest().expect("initial checkpoint").values;
                 if prog.check_invariant(prev, &vals).is_err() {
@@ -953,8 +919,9 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         }
         if let Some(w) = base.watchdog_interval {
             if total.iterations.is_multiple_of(w) {
-                let snapshot =
-                    with_copy_retries(gpu, cfg, fault, |g| g.try_download(&vertex_values))?;
+                let snapshot = with_copy_retries(gpu, maxr, backoff, fault, |g| {
+                    g.try_download(&vertex_values)
+                })?;
                 if !watchdog_seen.insert(fingerprint(&snapshot)) {
                     return Err(AttemptError::Watchdog {
                         iterations: total.iterations,
@@ -964,7 +931,9 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         }
     }
 
-    let values = with_copy_retries(gpu, cfg, fault, |g| g.try_download(&vertex_values))?;
+    let values = with_copy_retries(gpu, maxr, backoff, fault, |g| {
+        g.try_download(&vertex_values)
+    })?;
     if need_reverify {
         // The recovered trajectory converged before the next checkpoint
         // boundary re-verified it; the converged state itself is the proof.
@@ -987,19 +956,6 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         values,
         stats: total,
     })
-}
-
-/// FNV-1a over the value vector's bit patterns (watchdog fingerprint).
-fn fingerprint<V: Value>(values: &[V]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in values {
-        let mut bits = v.to_bits();
-        for _ in 0..8 {
-            h = (h ^ (bits & 0xff)).wrapping_mul(0x100_0000_01b3);
-            bits >>= 8;
-        }
-    }
-    h
 }
 
 #[cfg(test)]

@@ -109,6 +109,15 @@ impl Gpu {
         self.replay.stats()
     }
 
+    /// Replaces the warp-trace replay table with an empty one of `slots`
+    /// slots (a power of two, at least 2; the default is
+    /// [`crate::replay::REPLAY_SLOTS`]). The table is a pure cache, so only
+    /// host memory and hit rate change. Meant for a fresh device: the
+    /// memo's statistics restart.
+    pub fn set_replay_slots(&mut self, slots: usize) {
+        self.replay = ReplayMemo::with_slots(slots);
+    }
+
     /// Installs a tracer and assigns this device's process lane (`pid`,
     /// the device index; single-device engines use 0). Names the device's
     /// standard lane set, including one lane per simulated SM. All modeled

@@ -36,11 +36,11 @@ pub const SITE_WORDS: usize = 4;
 /// against the recorded deltas instead of being replayed.
 const VERIFY_SAMPLE: u32 = 64;
 
-/// Slots in the direct-mapped table (power of two). Sized so the simwall
+/// Default slots in the table (power of two). Sized so the simwall
 /// workloads' working sets (a few tens of thousands of distinct scopes at
 /// the benchmark scales) stay below ~50% load; overflow degrades to
 /// interpretation, never to wrong answers.
-const SLOTS: usize = 32768;
+pub const REPLAY_SLOTS: usize = 32768;
 
 /// Accounting deltas of one recorded warp-trace scope. Doubles as the
 /// absolute snapshot taken at scope entry when recording.
@@ -94,12 +94,22 @@ pub struct ReplayMemo {
 }
 
 impl ReplayMemo {
-    /// Builds an empty table. The slot array arrives as untouched zero
-    /// pages (see [`crate::coalesce::zeroed_table`]) so construction cost
-    /// does not scale with [`SLOTS`].
+    /// Builds an empty table of [`REPLAY_SLOTS`] slots.
     pub fn new() -> Self {
+        Self::with_slots(REPLAY_SLOTS)
+    }
+
+    /// Builds an empty table of `slots` slots (a power of two, at least 2).
+    /// The slot array arrives as untouched zero pages (see
+    /// [`crate::coalesce::zeroed_table`]) so construction cost does not
+    /// scale with the table size.
+    pub fn with_slots(slots: usize) -> Self {
+        assert!(
+            slots >= 2 && slots.is_power_of_two(),
+            "replay table size {slots} is not a power of two >= 2"
+        );
         ReplayMemo {
-            slots: crate::coalesce::zeroed_table(SLOTS),
+            slots: crate::coalesce::zeroed_table(slots),
             hits: 0,
             misses: 0,
             fallbacks: 0,
@@ -139,7 +149,7 @@ impl ReplayMemo {
         // Two-way set associative: a set is an adjacent slot pair. One way
         // absorbs value-dependent churn (convergence-dependent masks)
         // without evicting the iteration-stable entry in the other.
-        let way0 = slot_index(&key) & !1;
+        let way0 = slot_index(&key, self.slots.len()) & !1;
         for idx in [way0, way0 | 1] {
             let slot = &mut self.slots[idx];
             if slot.filled && slot.key == key {
@@ -210,7 +220,7 @@ impl std::fmt::Debug for ReplayMemo {
     }
 }
 
-fn slot_index(key: &TraceKey) -> usize {
+fn slot_index(key: &TraceKey, slots: usize) -> usize {
     // Word-wise FNV-1a over the site words and mask with a murmur-style
     // finalizer. The fingerprint column is deliberately NOT hashed: the
     // in-tree kernels make their keys distinct through the site words
@@ -230,7 +240,7 @@ fn slot_index(key: &TraceKey) -> usize {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
-    (h as usize) & (SLOTS - 1)
+    (h as usize) & (slots - 1)
 }
 
 #[cfg(test)]

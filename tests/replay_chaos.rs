@@ -9,8 +9,9 @@
 use cusha::algos::{Bfs, PageRank, Sssp};
 use cusha::baselines::{MtcpuEngine, VwcEngine};
 use cusha::core::{
-    run_engine, CuShaConfig, CuShaOutput, Engine, IntegrityConfig, IntegrityMode, NoopObserver,
-    Repr, RunStats, ShardEngine, StreamedEngine, VertexProgram,
+    run_engine, try_run_multi, CuShaConfig, CuShaOutput, Engine, IntegrityConfig, IntegrityMode,
+    MultiConfig, MultiOutput, NoopObserver, Repr, RunStats, ShardEngine, StreamedEngine,
+    VertexProgram,
 };
 use cusha::frontier::FrontierEngine;
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
@@ -222,4 +223,153 @@ fn replay_never_swallows_faults() {
             );
         }
     }
+}
+
+fn run_fleet<P: VertexProgram>(
+    prog: &P,
+    g: &Graph,
+    repr: Repr,
+    replay: bool,
+    jobs: usize,
+    flip_on_device_1: bool,
+) -> MultiOutput<P::V> {
+    let mut base = CuShaConfig::new(repr);
+    base.max_iterations = MAX_ITERS;
+    base.device.replay_memo = replay;
+    let mut cfg = MultiConfig::new(base, 2).with_jobs(jobs);
+    if flip_on_device_1 {
+        cfg.base.integrity = IntegrityConfig {
+            mode: IntegrityMode::Full,
+            ..IntegrityConfig::default()
+        };
+        cfg = cfg.with_device_fault_plan(
+            1,
+            FaultPlan::new()
+                .flip_at(2, FlipTarget::VertexValues, 3, 7)
+                .flip_at(4, FlipTarget::SrcValue, 1, 11),
+        );
+    }
+    try_run_multi(prog, g, &cfg)
+        .unwrap_or_else(|e| panic!("{} x2 (replay={replay}, jobs={jobs}): {e}", repr.label()))
+}
+
+/// Everything a fleet run reports except the memo telemetry: values,
+/// iterations, per-iteration detail, aggregate and per-device counters,
+/// exchange volume, recovery activity, and every modeled time to the bit.
+fn assert_fleet_identical<V: PartialEq + std::fmt::Debug>(
+    tag: &str,
+    on: &MultiOutput<V>,
+    off: &MultiOutput<V>,
+) {
+    assert_eq!(on.values, off.values, "{tag}: values");
+    let (a, b) = (&on.stats, &off.stats);
+    assert_eq!(a.iterations, b.iterations, "{tag}: iterations");
+    assert_eq!(a.converged, b.converged, "{tag}: converged");
+    assert_eq!(a.per_iteration, b.per_iteration, "{tag}: per-iteration detail");
+    assert_eq!(a.aggregate, b.aggregate, "{tag}: aggregate counters");
+    assert_eq!(a.exchange_bytes, b.exchange_bytes, "{tag}: exchange bytes");
+    assert_eq!(a.fault, b.fault, "{tag}: fault stats");
+    assert_eq!(a.sdc, b.sdc, "{tag}: sdc stats");
+    for (name, x, y) in [
+        ("setup", a.setup_seconds, b.setup_seconds),
+        ("compute", a.compute_seconds, b.compute_seconds),
+        ("exchange", a.exchange_seconds, b.exchange_seconds),
+        ("teardown", a.teardown_seconds, b.teardown_seconds),
+        ("modeled", a.modeled_seconds(), b.modeled_seconds()),
+    ] {
+        assert_eq!(x.to_bits(), y.to_bits(), "{tag}: {name} seconds");
+    }
+    for (x, y) in a.per_device.iter().zip(&b.per_device) {
+        let d = x.device;
+        assert_eq!(x.mode, y.mode, "{tag}: device {d} mode");
+        assert_eq!(x.kernel, y.kernel, "{tag}: device {d} counters");
+        assert_eq!(
+            x.kernel_seconds.to_bits(),
+            y.kernel_seconds.to_bits(),
+            "{tag}: device {d} kernel seconds"
+        );
+    }
+}
+
+#[test]
+fn fleet_replay_toggle_is_invisible() {
+    let g = chaos_graph(123);
+    fn check<P: VertexProgram>(g: &Graph, prog: &P, algo: &str) {
+        for repr in [Repr::GShards, Repr::ConcatWindows] {
+            let mut first_on: Option<MultiOutput<P::V>> = None;
+            for jobs in [1, 2] {
+                let tag = format!("{} x2/{algo}/jobs={jobs}", repr.label());
+                let on = run_fleet(prog, g, repr, true, jobs, false);
+                let off = run_fleet(prog, g, repr, false, jobs, false);
+                assert_fleet_identical(&tag, &on, &off);
+                assert_eq!(off.stats.memo.replay_hits, 0, "{tag}: replay-off hits");
+                for dev in &on.stats.per_device {
+                    assert!(
+                        dev.memo.replay_hits + dev.memo.replay_misses > 0,
+                        "{tag}: device {} opened no replay scope ({:?})",
+                        dev.device,
+                        dev.memo
+                    );
+                }
+                // Each device owns its memo, so the host schedule cannot
+                // move even the memo telemetry.
+                match &first_on {
+                    None => first_on = Some(on),
+                    Some(first) => {
+                        assert_fleet_identical(&tag, first, &on);
+                        assert_eq!(first.stats.memo, on.stats.memo, "{tag}: memo vs jobs=1");
+                    }
+                }
+            }
+        }
+    }
+    check(&g, &Bfs::new(0), "bfs");
+    check(&g, &Sssp::new(0), "sssp");
+    check(&g, &PageRank::new(), "pr");
+}
+
+#[test]
+fn fleet_replay_never_swallows_bit_flips() {
+    // Two silent flips on device 1 under full integrity defense: the
+    // recovery it triggers must be bit-identical with replay on and off,
+    // device 1 must gate replay while its plan can still fire, and device
+    // 0 (no plan) must keep replaying.
+    let g = chaos_graph(321);
+    for repr in [Repr::GShards, Repr::ConcatWindows] {
+        for jobs in [1, 2] {
+            let tag = format!("{} x2/pr/jobs={jobs}/flips", repr.label());
+            let on = run_fleet(&PageRank::new(), &g, repr, true, jobs, true);
+            let off = run_fleet(&PageRank::new(), &g, repr, false, jobs, true);
+            assert_fleet_identical(&tag, &on, &off);
+            assert!(
+                on.stats.sdc.flips_injected > 0,
+                "{tag}: no flip fired ({:?})",
+                on.stats.sdc
+            );
+            let d1 = &on.stats.per_device[1];
+            assert!(
+                d1.memo.replay_fallbacks > 0,
+                "{tag}: device 1 replayed while its plan could fire ({:?})",
+                d1.memo
+            );
+            assert!(
+                on.stats.per_device[0].memo.replay_hits > 0,
+                "{tag}: device 0 stopped replaying ({:?})",
+                on.stats.per_device[0].memo
+            );
+        }
+    }
+}
+
+#[test]
+fn clean_fleet_pagerank_replays() {
+    // The fleet launches the one shared kernel; a per-device copy without
+    // replay scopes would read zero hits here.
+    let g = chaos_graph(123);
+    let out = run_fleet(&PageRank::new(), &g, Repr::ConcatWindows, true, 1, false);
+    assert!(
+        out.stats.memo.replay_hits > 0,
+        "2-device PageRank never replayed a scope ({:?})",
+        out.stats.memo
+    );
 }
